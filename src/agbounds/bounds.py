@@ -28,8 +28,7 @@ over one period of representatives.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """One lower bound on the minimum distance of C_Omega(D, G)."""
 
@@ -124,59 +123,65 @@ class _Engine:
         With one_point=True both A and Z are restricted to the support
         of G (the evaluation divisor absorbs the other point).
         """
-        curve = self.curve
-        g, m = curve.genus, curve.shift_order
+        g = self.curve.genus
         dG = G.degree
-        gamma2 = G.origin % m
         # 4g-2-dG matches the longest possible kp gap run, so every kp
         # witness stays inside this search space (af >= kp).
         zmax = max(2 * g, 4 * g - 2 - dG)
         dA_lo = dG - (2 * g - 2)
         if zmax < 1 or dA_lo > 2 * g - 2 + zmax:
             return 0, None, None
-        LT, off = self.lt_block(dG - 2 * g + 2 - zmax, 2 * g - 2 + zmax)
-        if one_point:
-            at_origin = G.inf == 0 and G.origin != 0
-            best = (0, None, None)
-            for zeta in range(1, zmax + 1):
-                for dA in range(dA_lo, 2 * g - 2 + zeta + 1):
-                    if at_origin:
-                        ca = LT[dA - off, dA % m] == LT[dA - zeta - off, (dA - zeta) % m]
-                        cb = (
-                            LT[dG - dA - off, (gamma2 - dA) % m]
-                            == LT[dG - dA + zeta - off, (gamma2 - dA + zeta) % m]
-                        )
-                    else:
-                        ca = LT[dA - off, 0] == LT[dA - zeta - off, 0]
-                        cb = LT[dG - dA - off, 0] == LT[dG - dA + zeta - off, 0]
-                    if ca and cb:
-                        A = Divisor(0, dA) if at_origin else Divisor(dA, 0)
-                        Z = Divisor(0, zeta) if at_origin else Divisor(zeta, 0)
-                        best = (zeta, A, Z)
-                        break
-            return best
-        cols = np.arange(m)
+        self.lt_block(dG - 2 * g + 2 - zmax, 2 * g - 2 + zmax)  # one fill for all probes
+        # A probe at zeta takes deg(A) in [dA_lo, 2g-2+zeta], which is empty
+        # below zeta = dA_lo - (2g-2).  From there up to zmax the feasible
+        # zeta are closed downward, so bisect.  Take a witness (A, Z) at
+        # zeta and a point P in the support of Z.  Then (A - P, Z - P) is
+        # one at zeta - 1:
+        #   L(A - Z) <= L(A - P) <= L(A)  and  L(B) <= L(B + P) <= L(B + Z),
+        # and the outer spaces are equal, so the inner one is too.  When
+        # A - P would drop below the band, (A, Z - P) works the same way.
+        # Both moves keep A and Z on the support of G in the one-point case.
+        ok, bad = max(1, dA_lo - (2 * g - 2)) - 1, zmax + 1
         best = (0, None, None)
-        for zeta in range(1, zmax + 1):
-            hi = 2 * g - 2 + zeta
-            if dA_lo > hi:
-                continue
-            band = np.arange(dA_lo, hi + 1)
-            LA = LT[band - off]
-            LB = LT[dG - band - off]
-            for z2 in range(zeta + 1):
-                ca = LA == LT[band - zeta - off][:, (cols - z2) % m]
-                cb = (
-                    LB[:, (gamma2 - cols) % m]
-                    == LT[dG - band + zeta - off][:, (gamma2 - cols + z2) % m]
-                )
-                feasible = ca & cb
-                if feasible.any():
-                    i, r = np.argwhere(feasible)[0]
-                    dA, rho = int(band[i]), int(r)
-                    best = (zeta, Divisor(dA - rho, rho), Divisor(zeta - z2, z2))
-                    break
+        while bad - ok > 1:
+            zeta = (ok + bad) // 2
+            hit = self._af_probe(G, zeta, one_point)
+            if hit is None:
+                bad = zeta
+            else:
+                ok, best = zeta, (zeta, *hit)
         return best
+
+    def _af_probe(
+        self, G: Divisor, zeta: int, one_point: bool
+    ) -> tuple[Divisor, Divisor] | None:
+        """First valid (A, Z) with deg(Z) = zeta and deg(A) in the band, or None.
+
+        Every candidate is tested in one array comparison; the first is
+        the one with the least Z.origin, then the least deg(A), then the
+        least A.origin.
+        """
+        g, m = self.curve.genus, self.curve.shift_order
+        dG = G.degree
+        gamma2 = G.origin % m
+        LT, off = self.lt_block(dG - 2 * g + 2 - zeta, 2 * g - 2 + zeta)
+        # axes (z2, dA, rho): A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
+        dA = np.arange(dG - (2 * g - 2), 2 * g - 2 + zeta + 1)[None, :, None]
+        if not one_point:
+            rho, z2 = np.arange(m)[None, None, :], np.arange(zeta + 1)[:, None, None]
+        elif G.inf == 0 and G.origin != 0:
+            rho, z2 = dA, zeta  # A and Z at P0
+        else:
+            rho, z2 = 0, 0  # A and Z at Pinf
+        feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
+            LT[dG - dA - off, (gamma2 - rho) % m]
+            == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
+        )
+        first = int(feasible.argmax())
+        if not feasible.flat[first]:
+            return None
+        d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
+        return Divisor(d - r, r), Divisor(zeta - k, k)
 
     # -- consecutive-gap (kp) ----------------------------------------------
 
@@ -468,6 +473,8 @@ def improvement_table(
             for c in range(clo, chi + 1):
                 cells[(r, c)] = _table_cell(curve, method, r, c)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only tables pay its import
+
         chunks = [(curve.name, method, rs[i::threads], clo, chi) for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_table_chunk, chunks):

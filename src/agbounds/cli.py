@@ -14,7 +14,8 @@ Divisors are written `<int>*P0 + <int>*Pinf`; either term may be
 omitted, signs are allowed, repeated terms are summed, and a bare 0 is
 the zero divisor.
 
-Exit codes: 0 success, 2 usage or domain error, 3 verification failure.
+Exit codes: 0 success, 2 usage or domain error, 3 verification failure
+(a violated bound, or a verify sweep that checked no divisor).
 """
 
 from __future__ import annotations
@@ -111,7 +112,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+):(-?\d+)", text.strip())
     if m is None:
         raise ValueError(f"bad range {text!r}: expected 'lo:hi'")
-    return int(m.group(1)), int(m.group(2))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise ValueError(f"bad range {text!r}: lo must not exceed hi")
+    return lo, hi
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def render_table(table: dict, fmt: str = "markdown") -> str:
@@ -285,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every cached ell value on load",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker processes for table cells"
+        "--threads",
+        type=_worker_count,
+        default=1,
+        help="worker processes for table cells",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="scan-order seed for verify"
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", required=True, help="Pinf coefficients, lo:hi")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     # also accepted after the subcommand; SUPPRESS keeps the global value
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=_worker_count, default=argparse.SUPPRESS)
 
     p = sub.add_parser("code", help="generator matrix as CSV")
     p.add_argument("divisor")

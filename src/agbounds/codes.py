@@ -161,7 +161,10 @@ def verify_soundness(
     rng=None,
 ) -> dict:
     """Certify brute distance >= af >= max(floor, kp, designed) on every
-    two-point G in the window with an enumerable dual code."""
+    two-point G in the window with an enumerable dual code.
+
+    A sweep that checks no divisor reports ok = False: it certifies nothing.
+    """
     lo, hi = coeff_window
     dlo, dhi = deg_range
     divisors = [
@@ -211,5 +214,5 @@ def verify_soundness(
         "skipped_trivial": skipped_trivial,
         "skipped_budget": skipped_budget,
         "violations": violations,
-        "ok": not violations,
+        "ok": checked > 0 and not violations,
     }

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ P_INF = "Pinf"
 P_ORIGIN = "P0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """a*Pinf + b*P0 - (one point each from `constraints`)."""
 

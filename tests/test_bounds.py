@@ -6,6 +6,7 @@ import random
 import pytest
 
 from _reference_tables import SUZUKI8_AF, cells
+from agbounds import bounds
 from agbounds.bounds import (
     af_bound,
     best_bound,
@@ -228,3 +229,104 @@ def test_af_dominates_on_a_small_sample(sz, h16):
             fl = floor_bound(curve, G, fold=False)
             if fl is not None:
                 assert af.value >= fl.value
+
+
+# -- the af search against raw dimensions ----------------------------------
+
+
+def _af_by_raw_dims(curve, G, one_point=False):
+    """deg(Z) of the best af witness, from a nested loop over raw dim().
+
+    Same search space as af_search: A = (dA - rho)*Pinf + rho*P0 with
+    dA from deg(G) - (2g-2) up and rho in 0..m-1, Z >= 0 with
+    deg(Z) <= zmax and dA <= 2g-2 + deg(Z).  Each inner loop stops at the first failure: as Z grows,
+    L(A - Z) only shrinks and L(B + Z) only grows, so a failed Z fails
+    for every larger one too.
+    """
+    g, m = curve.genus, curve.shift_order
+    dG = G.degree
+    zmax = max(2 * g, 4 * g - 2 - dG)
+    if one_point:
+        unit = Divisor(0, 1) if G.inf == 0 and G.origin != 0 else Divisor(1, 0)
+        z_origins = [0]
+    else:
+        z_origins = range(zmax + 1)
+    best = 0
+    for dA in range(dG - (2 * g - 2), 2 * g - 2 + zmax + 1):
+        if one_point:
+            As = [Divisor(unit.inf * dA, unit.origin * dA)]
+        else:
+            As = [Divisor(dA - rho, rho) for rho in range(m)]
+        for A in As:
+            B = G - A
+            lA, lB = dim(curve, A), dim(curve, B)
+            top = 0
+            for z2 in z_origins:
+                z1 = 1 if z2 == 0 else 0
+                while z1 + z2 <= zmax:
+                    Z = Divisor(z1 * unit.inf, z1 * unit.origin) if one_point else Divisor(z1, z2)
+                    if dim(curve, A - Z) != lA or dim(curve, B + Z) != lB:
+                        break
+                    top = max(top, z1 + z2)
+                    z1 += 1
+                if z1 == 0:
+                    break  # Z = z2*P0 fails, and so does every Z above it
+            if top >= max(1, dA - (2 * g - 2)):
+                best = max(best, top)
+    return best
+
+
+def _one_point_divisors(lo, hi):
+    return [H for a in range(lo, hi + 1) for H in (Divisor(a, 0), Divisor(0, a))]
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "suzuki8"])
+def test_af_search_matches_raw_dimension_oracle(name):
+    curve = make_curve(name)
+    g = curve.genus
+    lo, hi = -(4 * g + 4), 6 * g  # the window of the acceptance dominance sweep
+    if name == "hermitian4":
+        two_point = [Divisor(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
+    elif name == "hermitian9":
+        rng = random.Random(1003)
+        two_point = [Divisor(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(150)]
+    else:
+        # degrees 2g-2..90, where C_Omega is a nonzero code
+        rng = random.Random(1014)
+        two_point = []
+        for _ in range(100):
+            d, b = rng.randint(2 * g - 2, 90), rng.randint(-60, 90)
+            two_point.append(Divisor(d - b, b))
+    cases = [(G, False) for G in two_point]
+    cases += [(H, True) for H in _one_point_divisors(lo, hi)]
+    for G, one_point in cases:
+        af = af_bound(curve, G, one_point)
+        want = _af_by_raw_dims(curve, G, one_point)
+        assert af.improvement == want, f"af at {G} (one_point={one_point})"
+        assert verify_witness(curve, af)
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_af_feasible_zeta_are_closed_downward(name):
+    # the lemma the bisection in af_search rests on: every zeta from the
+    # bottom of the search up to the optimum has a witness, none above it
+    curve = make_curve(name)
+    eng = bounds._engine(curve)
+    g = curve.genus
+    rng = random.Random(7000 + g)
+    lo, hi = -(4 * g + 4), 6 * g
+    cases = [(Divisor(rng.randint(lo, hi), rng.randint(lo, hi)), False) for _ in range(40)]
+    cases += [(H, True) for H in rng.sample(_one_point_divisors(lo, hi), 20)]
+    for G, one_point in cases:
+        zstar = eng.af_search(G, one_point)[0]
+        zmax = max(2 * g, 4 * g - 2 - G.degree)
+        bottom = max(1, G.degree - 2 * (2 * g - 2))
+        for zeta in range(bottom, zmax + 1):
+            hit = eng._af_probe(G, zeta, one_point)
+            assert (hit is not None) == (zeta <= zstar), f"zeta {zeta} at {G}"
+            if hit is not None:
+                A, Z = hit
+                B = G - A
+                assert Z.degree == zeta and Z.inf >= 0 and Z.origin >= 0
+                assert dim(curve, A) == dim(curve, A - Z)
+                assert dim(curve, B) == dim(curve, B + Z)

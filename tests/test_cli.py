@@ -167,11 +167,33 @@ def test_table_csv_format(capsys):
 
 
 def test_table_empty_range(capsys):
-    rc, out, _ = run(
+    # a reversed range used to print a header-only table and exit 0
+    rc, out, err = run(
         capsys, "--curve", "hermitian16", "table",
         "--method", "af", "--rows", "9:8", "--cols", "0:4", "--format", "csv",
     )
-    assert rc == 0 and out == ",0,1,2,3,4\n"
+    assert rc == 2 and out == "" and "bad range '9:8'" in err
+
+
+def test_reversed_ranges_exit_2(capsys):
+    rc, out, err = run(
+        capsys, "--curve", "hermitian16", "table", "--rows", "6:21", "--cols", "4:0",
+    )
+    assert rc == 2 and out == "" and "bad range '4:0'" in err
+    rc, out, err = run(capsys, "--curve", "hermitian4", "verify", "--window", "5:-5")
+    assert rc == 2 and out == "" and "bad range '5:-5'" in err
+
+
+def test_threads_below_one_exit_2(capsys):
+    table = ["table", "--rows", "6:7", "--cols", "0:4"]
+    for argv in (
+        ["--threads", "0", "--curve", "hermitian16", *table],
+        ["--curve", "hermitian16", *table, "--threads", "-1"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "--threads: must be at least 1" in err
+    rc, _, err = run(capsys, "--threads", "two", "--curve", "hermitian16", *table)
+    assert rc == 2 and "expected an integer" in err
 
 
 def test_table_bad_range_exits_2(capsys):
@@ -226,6 +248,18 @@ def test_verify_ok(capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["ok"] and report["checked"] > 0
+
+
+def test_verify_nothing_checked_exits_3(capsys):
+    # hermitian9: every C_Omega up to degree 8 is over the enumeration budget
+    rc, out, _ = run(capsys, "--curve", "hermitian9", "verify", "--max-deg", "8")
+    report = json.loads(out)
+    assert rc == 3 and not report["ok"]
+    assert report["checked"] == 0 and report["skipped_budget"] == 68
+    # hermitian4: the window holds no divisor of degree 1..8
+    rc, out, _ = run(capsys, "--curve", "hermitian4", "verify", "--window", "6:6")
+    report = json.loads(out)
+    assert rc == 3 and not report["ok"] and report["checked"] == 0
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -131,3 +131,13 @@ def test_soundness_scan_order_is_irrelevant(h4):
     a = verify_soundness(h4, deg_range=(1, 3))
     b = verify_soundness(h4, deg_range=(1, 3), rng=random.Random(99))
     assert (a["checked"], a["ok"]) == (b["checked"], b["ok"])
+
+
+def test_soundness_empty_sweep_is_not_ok(h4):
+    # no divisor in a reversed window, none enumerable under a tiny budget
+    for report in (
+        verify_soundness(h4, coeff_window=(5, -5)),
+        verify_soundness(h4, deg_range=(1, 4), budget=1),
+    ):
+        assert report["checked"] == 0 and not report["violations"]
+        assert report["ok"] is False
