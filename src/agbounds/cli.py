@@ -281,6 +281,14 @@ _COMMANDS = {
 }
 
 
+# argparse reads an argument that starts with "-" as an option, so such a
+# divisor must follow "--", which ends the options.
+DIVISOR_HELP = (
+    "e.g. '32*P0 + 1*Pinf'; one that starts with '-' goes after the options"
+    " and --: -- '-3*Pinf'"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agbounds",
@@ -310,17 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ell", help="dimension of L(G)")
-    p.add_argument("divisor")
+    p.add_argument("divisor", help=DIVISOR_HELP)
 
     p = sub.add_parser("floor", help="floor of a divisor")
-    p.add_argument("divisor")
+    p.add_argument("divisor", help=DIVISOR_HELP)
 
     p = sub.add_parser("semigroup", help="Weierstrass non-gaps at Pinf")
     p.add_argument("--limit", type=int, default=60)
     p.add_argument("--gaps", action="store_true", help="print the gaps instead")
 
     p = sub.add_parser("bound", help="distance bound for C_Omega(D, G)")
-    p.add_argument("divisor")
+    p.add_argument("divisor", help=DIVISOR_HELP)
     p.add_argument(
         "--method",
         choices=("designed", "floor", "kp", "af", "best"),
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_worker_count, default=argparse.SUPPRESS)
 
     p = sub.add_parser("code", help="generator matrix as CSV")
-    p.add_argument("divisor")
+    p.add_argument("divisor", help=DIVISOR_HELP)
     p.add_argument("--omega", action="store_true", help="emit C_Omega instead of C_L")
     p.add_argument("--one-point", action="store_true")
 

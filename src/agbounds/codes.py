@@ -102,55 +102,54 @@ def comega_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
     return Code(curve.name, G, "COmega", cl.points, dual)
 
 
+_CHUNK = 1 << 18  # words compared per chunk in _weight_counts: bounds its memory
+
+
+def _span(field, rows: np.ndarray) -> np.ndarray:
+    """All q^len(rows) linear combinations of `rows`, one per column."""
+    span = np.zeros((rows.shape[1], 1), dtype=np.uint8)
+    for row in rows:
+        span = field.ADD[span[:, :, None], field.MUL[row][:, None, :]].reshape(len(span), -1)
+    return span
+
+
+def _weight_counts(code: Code, budget: int) -> np.ndarray:
+    """Codewords of each weight 0..n, by meet in the middle: each codeword
+    is l - h once, l in the span of the last ceil(k/2) rows and h in that
+    of the first floor(k/2) (a subspace, so -h ranges over it too), and
+    weight(l - h) = n - #{c : l[c] = h[c]}, counted for a chunk of h
+    against every l one coordinate at a time."""
+    field = make_curve(code.curve).field
+    q, k, n = len(field), code.k, code.n
+    if q**k > budget:
+        raise ValueError(f"budget exceeded: {q}^{k} > {budget}")
+    low = _span(field, code.generator[k // 2 :])
+    high = _span(field, code.generator[: k // 2])
+    step = max(1, _CHUNK // low.shape[1])
+    matches = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, high.shape[1], step):
+        block = high[:, start : start + step]
+        agree = np.zeros((block.shape[1], low.shape[1]), dtype=np.min_scalar_type(n))
+        for c in range(n):
+            agree += block[c][:, None] == low[c][None, :]
+        matches += np.bincount(agree.ravel(), minlength=n + 1)
+    return matches[::-1]
+
+
 def min_distance_exhaustive(code: Code, budget: int = 2**24) -> int:
-    """Exact minimum weight by enumerating all q^k codewords (chunked)."""
+    """Exact minimum weight over all q^k codewords."""
     if code.k == 0:
         raise ValueError("trivial code")
-    field = make_curve(code.curve).field
-    q = len(field)
-    total = q**code.k
-    if total > budget:
-        raise ValueError(f"budget exceeded: {q}^{code.k} > {budget}")
-    ADD, MUL = field.ADD, field.MUL
-    gen = code.generator
-    best = code.n
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        acc = np.zeros((len(idx), code.n), dtype=np.uint8)
-        for j in range(code.k):
-            digit = ((idx // (q**j)) % q).astype(np.uint8)
-            acc = ADD[acc, MUL[digit[:, None], gen[j][None, :]]]
-        weights = np.count_nonzero(acc, axis=1)
-        if start == 0:
-            weights[0] = code.n  # the zero message does not count
-        m = int(weights.min())
-        if m < best:
-            best = m
-    return best
+    counts = _weight_counts(code, budget)
+    counts[0] -= 1  # the zero word does not count
+    return int(np.flatnonzero(counts)[0])
 
 
 def weight_enumerator(code: Code, budget: int = 2**24) -> tuple[int, ...]:
     """Weight distribution (count of codewords per weight, 0..n)."""
     if code.k == 0:
         return (1,) + (0,) * code.n
-    field = make_curve(code.curve).field
-    q = len(field)
-    total = q**code.k
-    if total > budget:
-        raise ValueError(f"budget exceeded: {q}^{code.k} > {budget}")
-    ADD, MUL = field.ADD, field.MUL
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        acc = np.zeros((len(idx), code.n), dtype=np.uint8)
-        for j in range(code.k):
-            digit = ((idx // (q**j)) % q).astype(np.uint8)
-            acc = ADD[acc, MUL[digit[:, None], code.generator[j][None, :]]]
-        weights = np.count_nonzero(acc, axis=1)
-        counts += np.bincount(weights, minlength=code.n + 1)
-    return tuple(int(c) for c in counts)
+    return tuple(int(c) for c in _weight_counts(code, budget))
 
 
 def verify_soundness(

@@ -390,7 +390,6 @@ class HermitianCurve(Curve):
         # each round, so a handful of iterations reach any precision.
         f = self.field
         q = self.q
-        j = {2: 1, 4: 2, 3: 1}[q]
         xq1 = _x_power(W, q + 1)
         y = xq1.copy()
         for _ in range(64):
@@ -401,7 +400,6 @@ class HermitianCurve(Curve):
             y = nxt
         else:
             raise RuntimeError("series iteration did not converge")
-        del j
         return {"y": y}
 
     def _self_check(self) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "P_ORIGIN",
     "Divisor",
     "dim",
-    "pole_basis",
     "function_basis",
     "RationalFunction",
     "index_of_specialty",
@@ -214,14 +213,6 @@ def dim(curve: Curve, divisor: Divisor) -> int:
             ell = nb - rank_of(ctx.field, mat)
     ctx.dim_memo[key] = ell
     return ell
-
-
-def pole_basis(curve: Curve, max_pole: int) -> list[Monomial]:
-    """Monomial basis of L(max_pole * Pinf), ordered by pole order."""
-    ctx = _context(curve)
-    ctx.ensure(max(max_pole, 0), 0)
-    nb = bisect.bisect_right(ctx.poles, max_pole)
-    return list(ctx.registry[:nb])
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,16 @@ def test_bound_bad_divisor_exits_2(capsys):
     assert rc == 2 and "bad divisor" in err
 
 
+def test_leading_negative_divisor_after_double_dash(capsys):
+    # without "--" argparse would take "-3*Pinf" for an option
+    rc, _, err = run(capsys, "--curve", "hermitian4", "bound", "--", "-3*Pinf")
+    assert rc == 2 and "deg G = -3 <= 2g - 2" in err
+    rc, out, _ = run(
+        capsys, "--curve", "hermitian4", "bound", "--all", "--method", "designed", "--", "-3*Pinf"
+    )
+    assert rc == 0 and json.loads(out)["value"] == -3
+
+
 def test_usage_error_exits_2(capsys):
     assert run(capsys, "--curve", "nosuch", "ell", "0")[0] == 2
     assert run(capsys, "--curve", "suzuki8", "nosuchcmd")[0] == 2

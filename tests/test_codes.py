@@ -1,9 +1,15 @@
 """Code construction cross-checked against Riemann-Roch dimension
-formulas, duality, and exhaustive weight enumeration on hermitian4."""
+formulas, duality, and exhaustive weight enumeration, itself checked
+against a plain loop over every message on hermitian4 and hermitian9."""
+
+import itertools
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
+from agbounds import codes
 from agbounds.codes import (
     cl_code,
     comega_code,
@@ -141,3 +147,89 @@ def test_soundness_empty_sweep_is_not_ok(h4):
     ):
         assert report["checked"] == 0 and not report["violations"]
         assert report["ok"] is False
+
+
+# -- the weight kernel against a plain enumeration ----------------------------
+
+
+def product_weights(code, field):
+    """Weight distribution by summing the rows for every message in turn."""
+    multiples = [field.MUL[:, row] for row in code.generator]  # [j][c] = c * row j
+    counts = [0] * (code.n + 1)
+    for message in itertools.product(range(len(field)), repeat=code.k):
+        word = np.zeros(code.n, dtype=np.uint8)
+        for coef, mult in zip(message, multiples):
+            word = field.ADD[word, mult[coef]]
+        counts[np.count_nonzero(word)] += 1
+    return tuple(counts)
+
+
+def macwilliams_dual(weights, q, k):
+    """Dual weight distribution by integer Krawtchouk sums; asserts that
+    every dual count is an integer, as it is for any linear code."""
+    n = len(weights) - 1
+
+    def krawtchouk(j, i):
+        return sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+
+    dual = []
+    for j in range(n + 1):
+        total = sum(a * krawtchouk(j, i) for i, a in enumerate(weights) if a)
+        assert total % q**k == 0, f"B_{j} = {total}/{q**k}"
+        dual.append(total // q**k)
+    return dual
+
+
+def oracle_codes():
+    """Every hermitian4 C_L and C_Omega with k >= 1 in criterion 9's
+    window, and hermitian9 C_L codes with k = 3 and k = 5."""
+    h4 = make_curve("hermitian4")
+    for a in range(-8, 7):
+        for b in range(-8, 7):
+            if 1 <= a + b <= 8:
+                for build in (cl_code, comega_code):
+                    code = build(h4, Divisor(a, b))
+                    if code.k:
+                        yield h4, code
+    h9 = make_curve("hermitian9")
+    for G in (Divisor(3, 2), Divisor(2, 5)):
+        yield h9, cl_code(h9, G)
+
+
+def test_weight_enumerator_matches_product_oracle():
+    ks = set()
+    for curve, code in oracle_codes():
+        want = product_weights(code, curve.field)
+        assert weight_enumerator(code) == want, code
+        assert want[0] == 1
+        assert min_distance_exhaustive(code) == next(w for w in range(1, code.n + 1) if want[w])
+        ks.add((curve.name, code.k))
+    assert ("hermitian9", 3) in ks and ("hermitian9", 5) in ks
+    assert {k for name, k in ks if name == "hermitian4"} == set(range(1, 8))
+
+
+def test_weight_counts_do_not_depend_on_the_chunk(monkeypatch):
+    h9 = make_curve("hermitian9")
+    code = cl_code(h9, Divisor(4, 4))  # 4*P0 + 4*Pinf
+    assert code.k == 6
+    monkeypatch.setattr(codes, "_CHUNK", 9**6)  # every word in one chunk
+    whole = weight_enumerator(code)
+    monkeypatch.setattr(codes, "_CHUNK", 300)  # one high word per chunk
+    assert weight_enumerator(code) == whole
+    assert sum(whole) == 9**6 and whole[0] == 1
+    dual = macwilliams_dual(whole, 9, code.k)
+    assert dual[0] == 1 and min(dual) >= 0 and sum(dual) == 9 ** (code.n - code.k)
+
+
+def test_weight_enumerator_memory_is_bounded():
+    code = cl_code(make_curve("hermitian9"), Divisor(5, 4))  # 4*P0 + 5*Pinf
+    assert code.k == 7
+    weight_enumerator(code)  # warm the field and numpy paths
+    tracemalloc.start()
+    try:
+        weights = weight_enumerator(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(weights) == 9**7
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
