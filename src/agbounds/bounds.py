@@ -58,15 +58,10 @@ class BoundResult:
     divisor: Divisor
     representative_shift: int = 0
     witness: dict | None = None
-    note: str = ""
 
     @property
     def improvement(self) -> int:
         return self.value - self.designed
-
-    @property
-    def meaningful(self) -> bool:
-        return self.value > 0
 
 
 def _require_two_point(G: Divisor, one_point: bool = False) -> None:
@@ -200,34 +195,26 @@ class _Engine:
         LT, off = self.lt_block(e_min - 1, e_max)
         gamma2 = G.origin % m
         n = e_max - e_min + 1
-        gap = np.empty((m, n), dtype=bool)
-        for cls in range(m):
-            for e in range(e_min, e_max + 1):
-                if point == P_INF:
-                    cur = LT[e - off, cls]
-                    prv = LT[e - 1 - off, cls]
-                else:
-                    cur = LT[e - off, (cls + e) % m]
-                    prv = LT[e - 1 - off, (cls + e - 1) % m]
-                gap[cls, e - e_min] = cur == prv
+        e, cls = np.arange(e_min, e_max + 1), np.arange(m)[:, None]
+        cur, prv = (cls, cls) if point == P_INF else ((cls + e) % m, (cls + e - 1) % m)
+        gap = LT[e - off, cur] == LT[e - 1 - off, prv]  # (class, e)
         fwd = np.zeros((m, n + 1), dtype=np.int32)
         bwd = np.zeros((m, n + 1), dtype=np.int32)
         for i in range(n - 1, -1, -1):
             fwd[:, i] = np.where(gap[:, i], fwd[:, i + 1] + 1, 0)
         for i in range(n):
             bwd[:, i + 1] = np.where(gap[:, i], bwd[:, i] + 1, 0)
-        best = None  # (t_plus_1, cls, e1)
         # class 0 realizes as F with support only at `point` (F = 0 works)
-        for cls in [0] if one_point else range(m):
-            mate = (gamma2 - cls) % m if point == P_INF else (gamma2 - dG - cls) % m
-            for e1 in range(e1_lo, e1_hi + 1):
-                run = min(
-                    int(fwd[cls, e1 - e_min]),
-                    int(bwd[mate, dG + 1 - e1 - e_min + 1]),
-                )
-                if run >= 1 and (best is None or run > best[0]):
-                    best = (run, cls, e1)
-        return best
+        classes = np.arange(1 if one_point else m)[:, None]
+        mate = (gamma2 - classes) % m if point == P_INF else (gamma2 - dG - classes) % m
+        e1 = np.arange(e1_lo, e1_hi + 1)
+        run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 2 - e1 - e_min])
+        # the first maximum in (class, e1) order, as a strict-> scan would pick
+        first = int(run.argmax())
+        if run.flat[first] < 1:
+            return None
+        c, i = divmod(first, len(e1))
+        return int(run.flat[first]), c, e1_lo + i
 
     # -- floor ---------------------------------------------------------------
 

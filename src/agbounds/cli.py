@@ -184,8 +184,6 @@ def _result_obj(res: BoundResult | None, method: str, curve: Curve, G: Divisor) 
             key: render_divisor(val) if isinstance(val, Divisor) else val
             for key, val in res.witness.items()
         }
-    if res.note:
-        obj["note"] = res.note
     return obj
 
 

@@ -1,4 +1,4 @@
-"""Hermitian and Suzuki curves with exact local expansions at the origin.
+"""Hermitian and Suzuki curves with generator power series at the origin.
 
 Supported curves:
 
@@ -26,7 +26,6 @@ to push poles at the origin out to infinity.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +33,13 @@ import numpy as np
 from .field import Field, make_field
 
 __all__ = [
-    "PrecisionError",
     "INFINITY",
     "Monomial",
-    "LocalExpansion",
     "Curve",
     "HermitianCurve",
     "SuzukiCurve",
     "make_curve",
 ]
-
-
-class PrecisionError(Exception):
-    """Requested a series coefficient beyond the computed precision."""
 
 
 class _Infinity:
@@ -65,140 +58,6 @@ class Monomial:
 
     exps: tuple[int, ...]
     pole: int
-
-
-class LocalExpansion:
-    """Truncated Laurent series in the uniformizer x at the origin.
-
-    Coefficients for exponents offset .. offset+len(coeffs)-1 are known
-    exactly; exponents below offset are known zeros; asking at or beyond
-    `bound` raises PrecisionError.
-    """
-
-    __slots__ = ("field", "offset", "coeffs")
-
-    def __init__(self, field: Field, offset: int, coeffs) -> None:
-        self.field = field
-        self.offset = offset
-        self.coeffs = np.asarray(coeffs, dtype=np.uint8)
-
-    @property
-    def bound(self) -> int:
-        return self.offset + len(self.coeffs)
-
-    def coefficient(self, n: int) -> int:
-        if n < self.offset:
-            return 0
-        if n >= self.bound:
-            raise PrecisionError(f"coefficient {n} beyond precision {self.bound}")
-        return int(self.coeffs[n - self.offset])
-
-    def valuation(self) -> int | None:
-        """Exponent of the first known nonzero term, None if all known are 0."""
-        nz = np.flatnonzero(self.coeffs)
-        if nz.size == 0:
-            return None
-        return self.offset + int(nz[0])
-
-    def shifted(self, k: int) -> "LocalExpansion":
-        return LocalExpansion(self.field, self.offset + k, self.coeffs)
-
-    def truncated(self, bound: int) -> "LocalExpansion":
-        if bound >= self.bound:
-            return self
-        n = max(0, bound - self.offset)
-        return LocalExpansion(self.field, self.offset, self.coeffs[:n])
-
-    def add(self, other: "LocalExpansion") -> "LocalExpansion":
-        f = self.field
-        off = min(self.offset, other.offset)
-        top = min(self.bound, other.bound)
-        n = max(0, top - off)
-        a = np.zeros(n, dtype=np.uint8)
-        b = np.zeros(n, dtype=np.uint8)
-        sa = self.coeffs[: max(0, top - self.offset)]
-        sb = other.coeffs[: max(0, top - other.offset)]
-        a[self.offset - off : self.offset - off + len(sa)] = sa
-        b[other.offset - off : other.offset - off + len(sb)] = sb
-        return LocalExpansion(f, off, f.ADD[a, b])
-
-    def neg(self) -> "LocalExpansion":
-        return LocalExpansion(self.field, self.offset, self.field.NEG[self.coeffs])
-
-    def sub(self, other: "LocalExpansion") -> "LocalExpansion":
-        return self.add(other.neg())
-
-    def mul(self, other: "LocalExpansion") -> "LocalExpansion":
-        f = self.field
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=np.uint8)
-        a = self.coeffs[:n]
-        b = other.coeffs[:n]
-        for i in np.flatnonzero(a):
-            i = int(i)
-            out[i:] = f.ADD[out[i:], f.MUL[a[i], b[: n - i]]]
-        return LocalExpansion(f, self.offset + other.offset, out)
-
-    def frobenius_power(self, j: int) -> "LocalExpansion":
-        """Raise to the power p^j; exact and precision-stretching."""
-        f = self.field
-        e = f.p**j
-        n = len(self.coeffs)
-        out = np.zeros(n * e, dtype=np.uint8)
-        for i in np.flatnonzero(self.coeffs):
-            i = int(i)
-            out[i * e] = f.pow(int(self.coeffs[i]), e)
-        return LocalExpansion(f, self.offset * e, out)
-
-    def pow(self, e: int) -> "LocalExpansion":
-        if e < 0:
-            return self.inverse().pow(-e)
-        result = LocalExpansion(self.field, 0, np.zeros(len(self.coeffs), np.uint8))
-        result.coeffs[0] = 1 if len(result.coeffs) else 0
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
-
-    def inverse(self) -> "LocalExpansion":
-        f = self.field
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("cannot invert a series that is zero to precision")
-        lead = v - self.offset
-        c = self.coeffs[lead:]
-        n = len(c)
-        d = np.zeros(n, dtype=np.uint8)
-        c0i = f.inv(int(c[0]))
-        d[0] = c0i
-        for t in range(1, n):
-            acc = 0
-            for i in range(1, t + 1):
-                if c[i]:
-                    acc = f.add(acc, f.mul(int(c[i]), int(d[t - i])))
-            d[t] = f.mul(f.neg(acc), c0i)
-        return LocalExpansion(f, -v, d)
-
-    def sqrt(self) -> "LocalExpansion":
-        f = self.field
-        if f.p != 2:
-            raise ValueError("series square root is only supported in characteristic 2")
-        new_off = -((-self.offset) // 2)
-        new_bound = -((-self.bound) // 2)
-        out = np.zeros(max(0, new_bound - new_off), dtype=np.uint8)
-        for i in np.flatnonzero(self.coeffs):
-            e = self.offset + int(i)
-            if e % 2:
-                raise ValueError("series with odd-exponent terms has no square root")
-            out[e // 2 - new_off] = f.sqrt(int(self.coeffs[i]))
-        return LocalExpansion(f, new_off, out)
-
-    def __repr__(self) -> str:
-        return f"LocalExpansion(offset={self.offset}, bound={self.bound})"
 
 
 def _conv(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,11 +205,6 @@ class Curve:
             got = arr
             self._combo_cache[pattern] = got
         return got
-
-    def monomial_series(self, mono: Monomial, W: int) -> LocalExpansion:
-        combo = self.combo_series(tuple(mono.exps[1:]), W + mono.exps[0])
-        arr = _shift_up(combo[: self._series_W], mono.exps[0])
-        return LocalExpansion(self.field, 0, arr)
 
     def _self_check(self) -> None:
         raise NotImplementedError

@@ -14,7 +14,6 @@ of Python inner loops.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 __all__ = [
     "FieldSpec",
     "Field",
-    "Matrix",
     "make_field",
     "GF",
     "rank_of",
@@ -138,7 +136,6 @@ class Field:
         self.MUL = mul
         self.NEG = neg
         self.INV = inv
-        self._SQ = np.array([int(mul[a, a]) for a in range(q)], dtype=np.uint8)
 
     # -- scalar operations ------------------------------------------------
 
@@ -170,15 +167,6 @@ class Field:
             a = int(self.MUL[a, a])
             e >>= 1
         return r
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    def sqrt(self, a: int) -> int:
-        hits = np.flatnonzero(self._SQ == a)
-        if hits.size == 0:
-            raise ValueError(f"{a} has no square root in {self}")
-        return int(hits[0])
 
     def elements(self) -> range:
         return range(self.q)
@@ -274,34 +262,3 @@ def nullspace_of(field: Field, mat: np.ndarray) -> list[np.ndarray]:
             v[c] = field.NEG[m[r, f]]
         basis.append(v)
     return basis
-
-
-@dataclass
-class Matrix:
-    """Dense matrix over a small finite field; entries are field indices."""
-
-    field: Field
-    data: np.ndarray
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            arr = np.array(rows, dtype=np.uint8)
-        else:
-            arr = np.zeros((0, 0), dtype=np.uint8)
-        return cls(field, arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def rank(self) -> int:
-        return rank_of(self.field, self.data)
-
-    def nullspace(self) -> list[np.ndarray]:
-        return nullspace_of(self.field, self.data)
-
-    def row_reduce(self) -> tuple[int, list[np.ndarray]]:
-        null = self.nullspace()
-        return self.data.shape[1] - len(null), null

@@ -11,7 +11,7 @@ l(D) = dim L(D) by exact linear algebra:
 
 where s is the shift function with divisor m*(P0 - Pinf) (y for
 Hermitian curves, w for the Suzuki curve).  The vanishing conditions are
-rows of local-expansion coefficients at the origin plus one evaluation
+rows of power-series coefficients at the origin plus one evaluation
 column per extra point, and l(D) is the dimension of the kernel.
 
 No Riemann-Roch formula shortcut is used anywhere in dim(): exactness,
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve, INFINITY, LocalExpansion, Monomial
+from .curve import Curve, INFINITY, Monomial
 from .field import rank_of, nullspace_of
 
 __all__ = [
@@ -226,52 +226,32 @@ class RationalFunction:
     def evaluate(self, pt) -> int:
         if pt is INFINITY:
             raise ValueError("cannot evaluate at infinity")
-        f = self.curve.field
-        if pt == self.curve.origin and self.shift_exp > 0:
-            exp = self.expansion(1)
-            v = exp.valuation()
-            if v is not None and v < 0:
+        curve = self.curve
+        f = curve.field
+        if pt == curve.origin and self.shift_exp > 0:
+            # f = g / s^k with ord_0(s) = m, so f(P0) is g's x^(mk) coefficient
+            # over lead(s)^k, unless g has a lower term: then f has a pole.
+            mk = curve.shift_order * self.shift_exp
+            g = np.zeros(mk + 1, dtype=np.uint8)
+            for c, mo in self.terms:
+                a = mo.exps[0]
+                if a <= mk:
+                    combo = curve.combo_series(tuple(mo.exps[1:]), mk + 1)
+                    g[a:] = f.ADD[g[a:], f.MUL[c, combo[: mk + 1 - a]]]
+            if g[:mk].any():
                 raise ValueError("function has a pole at the origin")
-            return exp.coefficient(0)
+            s = curve.series(mk + 1)[curve.gens[curve.shift_index]]
+            return f.mul(int(g[mk]), f.pow(int(s[curve.shift_order]), -self.shift_exp))
         acc = 0
         for c, mo in self.terms:
-            acc = f.add(acc, f.mul(c, self.curve.evaluate_monomial(mo, pt)))
+            acc = f.add(acc, f.mul(c, curve.evaluate_monomial(mo, pt)))
         if self.shift_exp:
-            s = self.curve.gen_values(pt)[self.curve.shift_index]
+            s = curve.gen_values(pt)[curve.shift_index]
             acc = f.mul(acc, f.pow(s, -self.shift_exp))
         return acc
 
-    def expansion(self, prec: int) -> LocalExpansion:
-        """Laurent expansion at the origin, exact at least on [.., prec)."""
-        curve = self.curve
-        f = curve.field
-        m = curve.shift_order
-        need = prec + m * self.shift_exp + 1
-        gen_series = curve.series(need)
-        W = len(next(iter(gen_series.values())))
-        acc = np.zeros(W, dtype=np.uint8)
-        for c, mo in self.terms:
-            combo = curve.combo_series(tuple(mo.exps[1:]), need)[:W]
-            a = mo.exps[0]
-            if a < W:
-                acc = f.ADD[acc, f.MUL[c, _shift_up(combo, a)]]
-        g = LocalExpansion(f, 0, acc)
-        if not self.shift_exp:
-            return g
-        s = LocalExpansion(f, 0, gen_series[curve.gens[curve.shift_index]])
-        s_pow = s
-        for _ in range(self.shift_exp - 1):
-            s_pow = s_pow.mul(s)
-        return g.mul(s_pow.inverse())
-
     def __repr__(self) -> str:
         return f"RationalFunction(shift_exp={self.shift_exp}, terms={len(self.terms)})"
-
-
-def _shift_up(a: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros(len(a), dtype=a.dtype)
-    out[k:] = a[: len(a) - k]
-    return out
 
 
 def function_basis(curve: Curve, divisor: Divisor) -> list[RationalFunction]:

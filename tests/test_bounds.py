@@ -110,7 +110,7 @@ def test_af_trivial_when_no_improvement(h16):
 
 def test_designed_can_be_nonpositive(h16):
     r = designed_distance(h16, Divisor(3, 0))
-    assert r.value == 3 - 10 and not r.meaningful
+    assert r.value == 3 - 10
 
 
 def test_two_point_only():
@@ -280,10 +280,9 @@ def _one_point_divisors(lo, hi):
     return [H for a in range(lo, hi + 1) for H in (Divisor(a, 0), Divisor(0, a))]
 
 
-@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "suzuki8"])
-def test_af_search_matches_raw_dimension_oracle(name):
-    curve = make_curve(name)
-    g = curve.genus
+def _oracle_cases(curve):
+    """(G, one_point) pairs for the raw-dimension oracles of af and kp."""
+    name, g = curve.name, curve.genus
     lo, hi = -(4 * g + 4), 6 * g  # the window of the acceptance dominance sweep
     if name == "hermitian4":
         two_point = [Divisor(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
@@ -298,12 +297,69 @@ def test_af_search_matches_raw_dimension_oracle(name):
             d, b = rng.randint(2 * g - 2, 90), rng.randint(-60, 90)
             two_point.append(Divisor(d - b, b))
     cases = [(G, False) for G in two_point]
-    cases += [(H, True) for H in _one_point_divisors(lo, hi)]
-    for G, one_point in cases:
+    return cases + [(H, True) for H in _one_point_divisors(lo, hi)]
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "suzuki8"])
+def test_af_search_matches_raw_dimension_oracle(name):
+    curve = make_curve(name)
+    for G, one_point in _oracle_cases(curve):
         af = af_bound(curve, G, one_point)
         want = _af_by_raw_dims(curve, G, one_point)
         assert af.improvement == want, f"af at {G} (one_point={one_point})"
         assert verify_witness(curve, af)
+
+
+# -- the kp search against raw dimensions ----------------------------------
+
+
+def _kp_by_raw_dims(curve, G, point, one_point=False):
+    """t+1 of the longest kp gap run at `point`, 0 if none, from raw dim().
+
+    F runs over kp_bound's witness family (cls*P0 at Pinf, ((-cls) mod m)*Pinf
+    at P0, only F = 0 for a one-point code).  For each run start
+    e1 = deg(F) + alpha, in a window m wider on each side than the search's
+    [deg(G) + 2 - 2g, 2g - 1], the run grows while alpha + s is a P-gap
+    index of F and 1 - alpha - s one of G - F.
+    """
+    g, m = curve.genus, curve.shift_order
+
+    def at(base, j):
+        if point == P_INF:
+            return Divisor(base.inf + j, base.origin)
+        return Divisor(base.inf, base.origin + j)
+
+    def gap(base, j):
+        return dim(curve, at(base, j)) == dim(curve, at(base, j - 1))
+
+    best = 0
+    for cls in range(1 if one_point else m):
+        F = Divisor(0, cls) if point == P_INF else Divisor((-cls) % m, 0)
+        for e1 in range(G.degree + 2 - 2 * g - m, 2 * g + m):
+            alpha, run = e1 - F.degree, 0
+            while gap(F, alpha + run) and gap(G - F, 1 - alpha - run):
+                run += 1
+            best = max(best, run)
+    return best
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "suzuki8"])
+def test_kp_search_matches_raw_dimension_oracle(name):
+    curve = make_curve(name)
+    for G, one_point in _oracle_cases(curve):
+        if one_point:
+            points = [P_INF] if G.origin == 0 else [P_ORIGIN]
+        else:
+            points = [P_INF, P_ORIGIN]
+        for point in points:
+            kp = kp_bound(curve, G, point, one_point)
+            want = _kp_by_raw_dims(curve, G, point, one_point)
+            where = f"kp at {point} for {G} (one_point={one_point})"
+            if want == 0:
+                assert kp is None, where
+            else:
+                assert kp is not None and kp.improvement == want, where
+                assert verify_witness(curve, kp), where
 
 
 @pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])

@@ -1,5 +1,5 @@
-"""Curve models: point counts, genus, and the local expansions that the
-Riemann-Roch machinery consumes."""
+"""Curve models: point counts, genus, and the generator power series that
+the Riemann-Roch machinery consumes."""
 
 import numpy as np
 import pytest

@@ -4,7 +4,7 @@ nullspace checked by dimension counting and explicit orthogonality."""
 import numpy as np
 import pytest
 
-from agbounds.field import GF, Matrix, make_field, nullspace_of, rank_of
+from agbounds.field import GF, make_field, nullspace_of, rank_of
 
 ORDERS = (4, 8, 9, 16)
 
@@ -85,12 +85,6 @@ def test_pow_negative_exponent(field):
         assert field.mul(field.pow(a, -1), a) == 1
 
 
-def test_sqrt_char2():
-    f = make_field(16)
-    for a in f.elements():
-        assert f.mul(f.sqrt(a), f.sqrt(a)) == a
-
-
 def test_rank_of_known_matrices():
     f = make_field(4)
     assert rank_of(f, np.zeros((3, 3), dtype=np.uint8)) == 0
@@ -125,9 +119,3 @@ def test_nullspace_of_empty_matrix():
     basis = nullspace_of(f, np.zeros((0, 4), dtype=np.uint8))
     assert len(basis) == 4
 
-
-def test_matrix_wrapper():
-    f = make_field(9)
-    m = Matrix.from_rows(f, [[1, 2, 3], [2, 4, 6]])
-    assert m.shape == (2, 3)
-    assert m.rank() + len(m.nullspace()) == 3

@@ -8,9 +8,11 @@ duality, monotonicity and shift invariance.
 
 import random
 
+import numpy as np
 import pytest
 
 from agbounds.curve import make_curve
+from agbounds.field import rank_of
 from agbounds.rrspace import (
     Divisor,
     dim,
@@ -197,6 +199,48 @@ def test_function_basis_evaluates_everywhere_off_support(curve):
         for p in pts:
             v = f.evaluate(p)
             assert 0 <= v < curve.field.q
+
+
+
+def test_evaluate_at_the_origin_matches_a_value_vector_oracle(curve):
+    # n points off the origin fix a function of L(a*Pinf + b*P0) when
+    # a + b < n.  So f has no pole at P0 exactly when its values there lie
+    # in the span of L(a*Pinf)'s, and then f(P0) is the one c for which
+    # f - c lies in L(a*Pinf - P0).  Spans are compared by rank.
+    field = curve.field
+    pts = [p for p in curve.affine_points if p != curve.origin]
+    n = len(pts)
+
+    def values(f):
+        return np.array([f.evaluate(p) for p in pts], dtype=np.uint8)
+
+    def span(D):
+        rows = [values(f) for f in function_basis(curve, D)]
+        return np.array(rows, dtype=np.uint8).reshape(-1, n)
+
+    def in_span(rows, v):
+        return rank_of(field, np.vstack([rows, v])) == rank_of(field, rows)
+
+    pairs = [(a, b) for a in range(-2, 12) for b in range(1, 30) if a + b < n]
+    if len(pairs) > 60:
+        pairs = random.Random(1200 + n).sample(pairs, 60)
+    regular = poles = 0
+    for a, b in pairs:
+        regular_span, vanishing_span = span(Divisor(a, 0)), span(Divisor(a, -1))
+        for f in function_basis(curve, Divisor(a, b)):
+            v = values(f)
+            if not in_span(regular_span, v):
+                with pytest.raises(ValueError, match="pole at the origin"):
+                    f.evaluate(curve.origin)
+                poles += 1
+                continue
+            fits = [
+                c for c in field.elements()
+                if in_span(vanishing_span, field.ADD[v, field.NEG[c]])
+            ]
+            assert fits == [f.evaluate(curve.origin)], f"{f} in L({a}*Pinf + {b}*P0)"
+            regular += 1
+    assert regular and poles
 
 
 def test_dim_cache_round_trip(tmp_path, curve):
