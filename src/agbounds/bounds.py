@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve, make_curve
-from .rrspace import Divisor, P_INF, P_ORIGIN, dim, floor_divisor, shift_divisor
+from .rrspace import Divisor, P_INF, P_ORIGIN, dim, floor_divisor, lt_window, shift_divisor
 
 __all__ = [
     "BoundResult",
@@ -77,180 +77,144 @@ def _representatives(m: int) -> list[int]:
     return ks
 
 
-class _Engine:
-    """Per-curve scratch space: the reduced-dimension table l~(d, r)."""
+# -- asymmetric floor ------------------------------------------------------
 
-    def __init__(self, curve: Curve):
-        self.curve = curve
-        self._lo = 0
-        self._hi = -1
-        self._lt = np.zeros((0, curve.shift_order), dtype=np.int16)
 
-    def lt(self, d: int, r: int) -> int:
-        return dim(self.curve, Divisor(d - r, r))
+def af_search(
+    curve: Curve, G: Divisor, one_point: bool = False
+) -> tuple[int, Divisor | None, Divisor | None]:
+    """Max deg(Z) over valid (A, Z); returns (zeta, A, Z).
 
-    def lt_block(self, lo: int, hi: int) -> tuple[np.ndarray, int]:
-        """Dense l~ values for degrees lo..hi; returns (array, array_lo)."""
-        if self._hi < self._lo:
-            new_lo, new_hi = lo, hi
+    With one_point=True both A and Z are restricted to the support
+    of G (the evaluation divisor absorbs the other point).
+    """
+    g = curve.genus
+    dG = G.degree
+    # 4g-2-dG matches the longest possible kp gap run, so every kp
+    # witness stays inside this search space (af >= kp).
+    zmax = max(2 * g, 4 * g - 2 - dG)
+    dA_lo = dG - (2 * g - 2)
+    if zmax < 1 or dA_lo > 2 * g - 2 + zmax:
+        return 0, None, None
+    LT, off = lt_window(curve, dG - 2 * g + 2 - zmax, 2 * g - 2 + zmax)  # covers every probe
+    # A probe at zeta takes deg(A) in [dA_lo, 2g-2+zeta], which is empty
+    # below zeta = dA_lo - (2g-2).  From there up to zmax the feasible
+    # zeta are closed downward, so bisect.  Take a witness (A, Z) at
+    # zeta and a point P in the support of Z.  Then (A - P, Z - P) is
+    # one at zeta - 1:
+    #   L(A - Z) <= L(A - P) <= L(A)  and  L(B) <= L(B + P) <= L(B + Z),
+    # and the outer spaces are equal, so the inner one is too.  When
+    # A - P would drop below the band, (A, Z - P) works the same way.
+    # Both moves keep A and Z on the support of G in the one-point case.
+    ok, bad = max(1, dA_lo - (2 * g - 2)) - 1, zmax + 1
+    best = (0, None, None)
+    while bad - ok > 1:
+        zeta = (ok + bad) // 2
+        hit = _af_probe(curve, G, zeta, one_point, LT, off)
+        if hit is None:
+            bad = zeta
         else:
-            if lo >= self._lo and hi <= self._hi:
-                return self._lt, self._lo
-            new_lo, new_hi = min(lo, self._lo), max(hi, self._hi)
-        m = self.curve.shift_order
-        arr = np.empty((new_hi - new_lo + 1, m), dtype=np.int16)
-        for d in range(new_lo, new_hi + 1):
-            if self._lo <= d <= self._hi:
-                arr[d - new_lo] = self._lt[d - self._lo]
-            else:
-                for r in range(m):
-                    arr[d - new_lo, r] = self.lt(d, r)
-        self._lt, self._lo, self._hi = arr, new_lo, new_hi
-        return arr, new_lo
+            ok, best = zeta, (zeta, *hit)
+    return best
 
-    # -- asymmetric floor --------------------------------------------------
 
-    def af_search(
-        self, G: Divisor, one_point: bool = False
-    ) -> tuple[int, Divisor | None, Divisor | None]:
-        """Max deg(Z) over valid (A, Z); returns (zeta, A, Z).
+def _af_probe(
+    curve: Curve, G: Divisor, zeta: int, one_point: bool, LT: np.ndarray, off: int
+) -> tuple[Divisor, Divisor] | None:
+    """First valid (A, Z) with deg(Z) = zeta and deg(A) in the band, or None.
 
-        With one_point=True both A and Z are restricted to the support
-        of G (the evaluation divisor absorbs the other point).
-        """
-        g = self.curve.genus
-        dG = G.degree
-        # 4g-2-dG matches the longest possible kp gap run, so every kp
-        # witness stays inside this search space (af >= kp).
-        zmax = max(2 * g, 4 * g - 2 - dG)
-        dA_lo = dG - (2 * g - 2)
-        if zmax < 1 or dA_lo > 2 * g - 2 + zmax:
-            return 0, None, None
-        self.lt_block(dG - 2 * g + 2 - zmax, 2 * g - 2 + zmax)  # one fill for all probes
-        # A probe at zeta takes deg(A) in [dA_lo, 2g-2+zeta], which is empty
-        # below zeta = dA_lo - (2g-2).  From there up to zmax the feasible
-        # zeta are closed downward, so bisect.  Take a witness (A, Z) at
-        # zeta and a point P in the support of Z.  Then (A - P, Z - P) is
-        # one at zeta - 1:
-        #   L(A - Z) <= L(A - P) <= L(A)  and  L(B) <= L(B + P) <= L(B + Z),
-        # and the outer spaces are equal, so the inner one is too.  When
-        # A - P would drop below the band, (A, Z - P) works the same way.
-        # Both moves keep A and Z on the support of G in the one-point case.
-        ok, bad = max(1, dA_lo - (2 * g - 2)) - 1, zmax + 1
-        best = (0, None, None)
-        while bad - ok > 1:
-            zeta = (ok + bad) // 2
-            hit = self._af_probe(G, zeta, one_point)
-            if hit is None:
-                bad = zeta
-            else:
-                ok, best = zeta, (zeta, *hit)
-        return best
-
-    def _af_probe(
-        self, G: Divisor, zeta: int, one_point: bool
-    ) -> tuple[Divisor, Divisor] | None:
-        """First valid (A, Z) with deg(Z) = zeta and deg(A) in the band, or None.
-
-        Every candidate is tested in one array comparison; the first is
-        the one with the least Z.origin, then the least deg(A), then the
-        least A.origin.
-        """
-        g, m = self.curve.genus, self.curve.shift_order
-        dG = G.degree
-        gamma2 = G.origin % m
-        LT, off = self.lt_block(dG - 2 * g + 2 - zeta, 2 * g - 2 + zeta)
-        # axes (z2, dA, rho): A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
-        dA = np.arange(dG - (2 * g - 2), 2 * g - 2 + zeta + 1)[None, :, None]
-        if not one_point:
-            rho, z2 = np.arange(m)[None, None, :], np.arange(zeta + 1)[:, None, None]
-        elif G.inf == 0 and G.origin != 0:
-            rho, z2 = dA, zeta  # A and Z at P0
-        else:
-            rho, z2 = 0, 0  # A and Z at Pinf
-        feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
-            LT[dG - dA - off, (gamma2 - rho) % m]
-            == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
-        )
-        first = int(feasible.argmax())
-        if not feasible.flat[first]:
-            return None
-        d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
-        return Divisor(d - r, r), Divisor(zeta - k, k)
-
-    # -- consecutive-gap (kp) ----------------------------------------------
-
-    def kp_search(self, G: Divisor, point: str, one_point: bool = False):
-        """Best (t+1, class, e1) for consecutive-gap runs at `point`."""
-        curve = self.curve
-        g, m = curve.genus, curve.shift_order
-        dG = G.degree
-        e1_lo, e1_hi = dG + 2 - 2 * g, 2 * g - 1
-        if e1_lo > e1_hi:
-            return None
-        # A run truncated at the array bottom counts at least pad+1 entries,
-        # strictly more than any forward run, so min() never sees it.
-        pad = (e1_hi - e1_lo) + 2
-        e_min, e_max = e1_lo - pad, 2 * g
-        LT, off = self.lt_block(e_min - 1, e_max)
-        gamma2 = G.origin % m
-        n = e_max - e_min + 1
-        e, cls = np.arange(e_min, e_max + 1), np.arange(m)[:, None]
-        cur, prv = (cls, cls) if point == P_INF else ((cls + e) % m, (cls + e - 1) % m)
-        gap = LT[e - off, cur] == LT[e - 1 - off, prv]  # (class, e)
-        fwd = np.zeros((m, n + 1), dtype=np.int32)
-        bwd = np.zeros((m, n + 1), dtype=np.int32)
-        for i in range(n - 1, -1, -1):
-            fwd[:, i] = np.where(gap[:, i], fwd[:, i + 1] + 1, 0)
-        for i in range(n):
-            bwd[:, i + 1] = np.where(gap[:, i], bwd[:, i] + 1, 0)
-        # class 0 realizes as F with support only at `point` (F = 0 works)
-        classes = np.arange(1 if one_point else m)[:, None]
-        mate = (gamma2 - classes) % m if point == P_INF else (gamma2 - dG - classes) % m
-        e1 = np.arange(e1_lo, e1_hi + 1)
-        run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 2 - e1 - e_min])
-        # the first maximum in (class, e1) order, as a strict-> scan would pick
-        first = int(run.argmax())
-        if run.flat[first] < 1:
-            return None
-        c, i = divmod(first, len(e1))
-        return int(run.flat[first]), c, e1_lo + i
-
-    # -- floor ---------------------------------------------------------------
-
-    def floor_search(self, G: Divisor, one_point: bool = False):
-        """Best (deg E, H, E) with G = H + floor(H), E = H - floor(H).
-
-        Any such H satisfies 2H = G + E, so H is enumerated from the
-        parity-compatible splits of deg E; deg E <= g because
-        l(floor(H)) = l(H) >= 1 forces deg floor(H) >= deg(H) - g.
-        """
-        curve = self.curve
-        g1, g2 = G.inf, G.origin
-        at_origin = one_point and G.inf == 0 and G.origin != 0
-        for eps in range(self.curve.genus, -1, -1):
-            if one_point:
-                splits = [0] if at_origin else [eps]
-            else:
-                splits = range(eps + 1)
-            for e1 in splits:
-                e2 = eps - e1
-                if (g1 + e1) % 2 or (g2 + e2) % 2:
-                    continue
-                H = Divisor((g1 + e1) // 2, (g2 + e2) // 2)
-                if dim(curve, H) == 0:
-                    continue
-                if floor_divisor(curve, H) == Divisor(H.inf - e1, H.origin - e2):
-                    return eps, H, Divisor(e1, e2)
+    Every candidate is tested in one comparison over af_search's l~ window
+    LT, off; the first is the one with the least Z.origin, then the least
+    deg(A), then the least A.origin.
+    """
+    g, m = curve.genus, curve.shift_order
+    dG = G.degree
+    gamma2 = G.origin % m
+    # axes (z2, dA, rho): A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
+    dA = np.arange(dG - (2 * g - 2), 2 * g - 2 + zeta + 1)[None, :, None]
+    if not one_point:
+        rho, z2 = np.arange(m)[None, None, :], np.arange(zeta + 1)[:, None, None]
+    elif G.inf == 0 and G.origin != 0:
+        rho, z2 = dA, zeta  # A and Z at P0
+    else:
+        rho, z2 = 0, 0  # A and Z at Pinf
+    feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
+        LT[dG - dA - off, (gamma2 - rho) % m]
+        == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
+    )
+    first = int(feasible.argmax())
+    if not feasible.flat[first]:
         return None
+    d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
+    return Divisor(d - r, r), Divisor(zeta - k, k)
 
 
-def _engine(curve: Curve) -> _Engine:
-    eng = getattr(curve, "_bounds_engine", None)
-    if eng is None:
-        eng = _Engine(curve)
-        curve._bounds_engine = eng
-    return eng
+# -- consecutive-gap (kp) ----------------------------------------------------
+
+
+def kp_search(curve: Curve, G: Divisor, point: str, one_point: bool = False):
+    """Best (t+1, class, e1) for consecutive-gap runs at `point`."""
+    g, m = curve.genus, curve.shift_order
+    dG = G.degree
+    e1_lo, e1_hi = dG + 2 - 2 * g, 2 * g - 1
+    if e1_lo > e1_hi:
+        return None
+    # A run truncated at the array bottom counts at least pad+1 entries,
+    # strictly more than any forward run, so min() never sees it.
+    pad = (e1_hi - e1_lo) + 2
+    e_min, e_max = e1_lo - pad, 2 * g
+    LT, off = lt_window(curve, e_min - 1, e_max)
+    gamma2 = G.origin % m
+    n = e_max - e_min + 1
+    e, cls = np.arange(e_min, e_max + 1), np.arange(m)[:, None]
+    cur, prv = (cls, cls) if point == P_INF else ((cls + e) % m, (cls + e - 1) % m)
+    gap = LT[e - off, cur] == LT[e - 1 - off, prv]  # (class, e)
+    fwd = np.zeros((m, n + 1), dtype=np.int32)
+    bwd = np.zeros((m, n + 1), dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        fwd[:, i] = np.where(gap[:, i], fwd[:, i + 1] + 1, 0)
+    for i in range(n):
+        bwd[:, i + 1] = np.where(gap[:, i], bwd[:, i] + 1, 0)
+    # class 0 realizes as F with support only at `point` (F = 0 works)
+    classes = np.arange(1 if one_point else m)[:, None]
+    mate = (gamma2 - classes) % m if point == P_INF else (gamma2 - dG - classes) % m
+    e1 = np.arange(e1_lo, e1_hi + 1)
+    run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 2 - e1 - e_min])
+    # the first maximum in (class, e1) order, as a strict-> scan would pick
+    first = int(run.argmax())
+    if run.flat[first] < 1:
+        return None
+    c, i = divmod(first, len(e1))
+    return int(run.flat[first]), c, e1_lo + i
+
+
+# -- floor -------------------------------------------------------------------
+
+
+def floor_search(curve: Curve, G: Divisor, one_point: bool = False):
+    """Best (deg E, H, E) with G = H + floor(H), E = H - floor(H).
+
+    Any such H satisfies 2H = G + E, so H is enumerated from the
+    parity-compatible splits of deg E; deg E <= g because
+    l(floor(H)) = l(H) >= 1 forces deg floor(H) >= deg(H) - g.
+    """
+    g1, g2 = G.inf, G.origin
+    at_origin = one_point and G.inf == 0 and G.origin != 0
+    for eps in range(curve.genus, -1, -1):
+        if one_point:
+            splits = [0] if at_origin else [eps]
+        else:
+            splits = range(eps + 1)
+        for e1 in splits:
+            e2 = eps - e1
+            if (g1 + e1) % 2 or (g2 + e2) % 2:
+                continue
+            H = Divisor((g1 + e1) // 2, (g2 + e2) // 2)
+            if dim(curve, H) == 0:
+                continue
+            if floor_divisor(curve, H) == Divisor(H.inf - e1, H.origin - e2):
+                return eps, H, Divisor(e1, e2)
+    return None
 
 
 def _designed_value(curve: Curve, G: Divisor) -> int:
@@ -267,7 +231,7 @@ def designed_distance(curve: Curve, G: Divisor) -> BoundResult:
 def af_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult:
     """Best bound from decompositions G = A + B with a slack divisor Z."""
     _require_two_point(G, one_point)
-    zeta, A, Z = _engine(curve).af_search(G, one_point)
+    zeta, A, Z = af_search(curve, G, one_point)
     designed = _designed_value(curve, G)
     if zeta == 0:
         witness = {"A": G, "B": Divisor(0, 0), "Z": Divisor(0, 0)}
@@ -290,7 +254,7 @@ def kp_bound(
         support = P_INF if G.origin == 0 else P_ORIGIN
         if point != support:
             raise ValueError("one_point kp needs the gap point to carry G")
-    best = _engine(curve).kp_search(G, point, one_point)
+    best = kp_search(curve, G, point, one_point)
     if best is None:
         return None
     run, cls, e1 = best
@@ -316,12 +280,11 @@ def floor_bound(
     _require_two_point(G, one_point)
     if one_point:
         fold = False  # shifted representatives pick up support at the other point
-    eng = _engine(curve)
     designed = _designed_value(curve, G)
     best = None
     ks = _representatives(curve.shift_order) if fold else [0]
     for k in ks:
-        got = eng.floor_search(shift_divisor(curve, G, k), one_point)
+        got = floor_search(curve, shift_divisor(curve, G, k), one_point)
         if got is not None and (best is None or got[0] > best[1][0]):
             best = (k, got)
     if best is None:
@@ -417,7 +380,7 @@ def _table_cell(curve: Curve, method: str, r: int, c: int):
     # a cell on an axis is a one-point code: the other point joins the
     # evaluation divisor and witnesses may not use it
     one_point = (r == 0) != (c == 0)
-    afz = _engine(curve).af_search(G, one_point)[0]
+    afz = af_search(curve, G, one_point)[0]
     if method == "af":
         return afz if afz >= 1 else None
     # published floor tables rate each cell's own divisor, so no folding here

@@ -42,9 +42,9 @@ from .rrspace import (
     Divisor,
     P_INF,
     P_ORIGIN,
-    dim,
     floor_divisor,
     load_dim_cache,
+    lt_window,
     save_dim_cache,
     semigroup,
 )
@@ -188,7 +188,9 @@ def _result_obj(res: BoundResult | None, method: str, curve: Curve, G: Divisor) 
 
 
 def _cmd_ell(curve: Curve, args) -> int:
-    print(dim(curve, parse_divisor(args.divisor)))
+    G = parse_divisor(args.divisor)  # l(G) = l~(deg G, G.origin mod m)
+    LT, off = lt_window(curve, G.degree, G.degree)
+    print(LT[G.degree - off, G.origin % curve.shift_order])
     return 0
 
 

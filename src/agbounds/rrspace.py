@@ -17,6 +17,11 @@ column per extra point, and l(D) is the dimension of the kernel.
 No Riemann-Roch formula shortcut is used anywhere in dim(): exactness,
 duality and shift invariance are theorems this module is tested
 against, not inputs.
+
+The bound searches and `ell` read one table per curve instead, since
+l(a*Pinf + b*P0) = l~(a + b, b mod m): dim() fills degrees 0..2g-1 once,
+and lt_window() pads it by Riemann-Roch to degrees -6g+2..6g-4 (all that
+af and kp read for deg G >= 0).  dim() stays raw; witness checks call it.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ def subtract_points(curve: Curve, divisor: Divisor, points) -> Divisor:
 
 
 class _Context:
-    """Per-curve caches: monomial registry, expansion rows, dim results."""
+    """Per-curve caches: monomial registry, expansion rows, dim results, l~."""
 
     def __init__(self, curve: Curve):
         self.curve = curve
@@ -126,12 +131,14 @@ class _Context:
         self.COEFF = np.zeros((0, 0), dtype=np.uint8)
         self.value_cols: dict[tuple[int, int], np.ndarray] = {}
         self.dim_memo: dict[tuple, int] = {}
+        self.lt: tuple[np.ndarray, int] | None = None  # (l~ table, its lowest degree)
 
     def ensure(self, maxpole: int, prec: int) -> None:
         need_W = max(prec + 1, 8)
         if maxpole <= self.maxpole and need_W <= self.W:
             return
-        self.maxpole = max(self.maxpole, maxpole, 32)
+        if maxpole > self.maxpole:  # grow geometrically, as W does
+            self.maxpole = max(2 * self.maxpole, maxpole, 32)
         self.W = max(self.W, 2 * need_W, 64)
         self.registry = self.curve.monomials(self.maxpole)
         self.poles = [mo.pole for mo in self.registry]
@@ -213,6 +220,22 @@ def dim(curve: Curve, divisor: Divisor) -> int:
             ell = nb - rank_of(ctx.field, mat)
     ctx.dim_memo[key] = ell
     return ell
+
+
+def lt_window(curve: Curve, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """l~ for degrees lo..hi as (array, offset), array[d - offset, r] = l~(d, r)."""
+    ctx = _context(curve)
+    g, m = curve.genus, curve.shift_order
+    if ctx.lt is None:  # dim() fills degrees 0..2g-1, padded once to the stored window
+        fill = [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(2 * g)]
+        ctx.lt = np.array(fill, dtype=np.int64), 0
+        ctx.lt = lt_window(curve, 2 - 6 * g, 6 * g - 4)
+    LT, off = ctx.lt
+    if off <= lo and hi < off + len(LT):
+        return ctx.lt
+    d = np.arange(lo, hi + 1, dtype=np.int64)[:, None]  # Riemann-Roch outside 0..2g-1
+    inside = LT[np.clip(d[:, 0], 0, 2 * g - 1) - off]
+    return np.where((d >= 0) & (d < 2 * g), inside, np.maximum(d + 1 - g, 0)), lo
 
 
 @dataclass(frozen=True)

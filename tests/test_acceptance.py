@@ -19,7 +19,6 @@ import pytest
 
 from _reference_tables import HERMITIAN16_AF, HERMITIAN16_FLOOR, SUZUKI8_AF, cells
 from agbounds.bounds import (
-    _engine,
     af_bound,
     best_bound,
     designed_distance,
@@ -36,6 +35,7 @@ from agbounds.rrspace import (
     P_INF,
     P_ORIGIN,
     dim,
+    lt_window,
     semigroup,
     shift_divisor,
     subtract_points,
@@ -77,16 +77,29 @@ def test_criterion_02_riemann_roch_window(name):
     curve = make_curve(name)
     g, m = curve.genus, curve.shift_order
     lo, hi = -30, 90
-    # dense ell grid from the reduced table l~(deg, origin-residue)
+    # dense raw l~(deg, origin-residue) grid, l~(d, r) = dim((d - r)*Pinf + r*P0)
     dmin, dmax = 2 * g - 2 - 2 * hi, 2 * hi
-    block, block_lo = _engine(curve).lt_block(dmin, dmax)
+    block = np.array(
+        [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(dmin, dmax + 1)]
+    )
+    block_lo = dmin
+    # the table the bound searches read is that raw grid
+    LT, off = lt_window(curve, dmin, dmax)
+    assert np.array_equal(LT[dmin - off : dmax - off + 1], block)
+    # at the band edges, where the table switches to Riemann-Roch, every
+    # class representative shifted by k*m agrees with it too
+    for d in range(-2, 2 * g + 2):
+        for r in range(m):
+            for k in range(-4, 5):
+                b = r + k * m
+                assert dim(curve, Divisor(d - b, b)) == LT[d - off, r], (d, b)
     coeffs = np.arange(lo, hi + 1)
     deg = coeffs[:, None] + coeffs[None, :]  # [a, b] -> a + b
     res = np.broadcast_to(coeffs[None, :] % m, deg.shape)
-    ell = block[deg - block_lo, res].astype(np.int64)
+    ell = block[deg - block_lo, res]
 
-    # the grid really is dim(): raw cross-check on a random sample,
-    # which also exercises shift invariance on the same points
+    # the reduction l(a*Pinf + b*P0) = l~(a + b, b mod m): raw cross-check
+    # on a random sample, which also exercises shift invariance
     rng = random.Random(2)
     for _ in range(150):
         a, b = rng.randint(lo, hi), rng.randint(lo, hi)

@@ -17,7 +17,7 @@ from agbounds.bounds import (
     verify_witness,
 )
 from agbounds.curve import make_curve
-from agbounds.rrspace import P_INF, P_ORIGIN, Divisor, dim
+from agbounds.rrspace import P_INF, P_ORIGIN, Divisor, dim, lt_window
 
 
 @pytest.fixture(scope="module")
@@ -367,18 +367,19 @@ def test_af_feasible_zeta_are_closed_downward(name):
     # the lemma the bisection in af_search rests on: every zeta from the
     # bottom of the search up to the optimum has a witness, none above it
     curve = make_curve(name)
-    eng = bounds._engine(curve)
     g = curve.genus
     rng = random.Random(7000 + g)
     lo, hi = -(4 * g + 4), 6 * g
     cases = [(Divisor(rng.randint(lo, hi), rng.randint(lo, hi)), False) for _ in range(40)]
     cases += [(H, True) for H in rng.sample(_one_point_divisors(lo, hi), 20)]
     for G, one_point in cases:
-        zstar = eng.af_search(G, one_point)[0]
+        zstar = bounds.af_search(curve, G, one_point)[0]
         zmax = max(2 * g, 4 * g - 2 - G.degree)
+        # the l~ window af_search reads, which covers every probe
+        LT, off = lt_window(curve, G.degree - 2 * g + 2 - zmax, 2 * g - 2 + zmax)
         bottom = max(1, G.degree - 2 * (2 * g - 2))
         for zeta in range(bottom, zmax + 1):
-            hit = eng._af_probe(G, zeta, one_point)
+            hit = bounds._af_probe(curve, G, zeta, one_point, LT, off)
             assert (hit is not None) == (zeta <= zstar), f"zeta {zeta} at {G}"
             if hit is not None:
                 A, Z = hit

@@ -61,6 +61,35 @@ def test_ell_command(capsys):
     assert rc == 0 and out.strip() == "20"
 
 
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_ell_command_matches_dim(capsys, name):
+    curve = make_curve(name)
+    g, m = curve.genus, curve.shift_order
+    # degrees -2m..4g+2: below, across and above the band 0..2g-1 that
+    # dim() fills, with negative and positive class representatives
+    window = range(-m, 2 * g + 2)
+    for a in window:
+        for b in window:
+            D = Divisor(a, b)
+            rc, out, _ = run(capsys, "--curve", name, "ell", "--", render_divisor(D))
+            assert rc == 0 and out == f"{dim(curve, D)}\n", D
+
+
+@pytest.mark.parametrize(
+    "name, divisor, want",
+    [("hermitian4", "99999999999*Pinf", "99999999999"), ("suzuki8", "20000*Pinf", "19987")],
+)
+def test_ell_huge_coefficient_is_bounded(name, divisor, want):
+    # deg G + 1 - g by Riemann-Roch, read without a basis up to the pole order
+    proc = subprocess.run(
+        [sys.executable, "-m", "agbounds", "--curve", name, "ell", divisor],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0 and proc.stdout == want + "\n"
+
+
 def test_floor_command(capsys):
     rc, out, _ = run(capsys, "--curve", "suzuki8", "floor", "16*P0 + 1*Pinf")
     assert rc == 0 and out.strip() == "16*P0"

@@ -22,6 +22,7 @@ from agbounds.rrspace import (
     index_of_specialty,
     is_gap,
     load_dim_cache,
+    lt_window,
     save_dim_cache,
     semigroup,
     shift_divisor,
@@ -116,6 +117,26 @@ def test_shift_invariance(curve):
         D = Divisor(rng.randint(-8, 30), rng.randint(-8, 30))
         for k in (-2, -1, 1, 2):
             assert dim(curve, shift_divisor(curve, D, k)) == dim(curve, D)
+
+
+def test_lt_window_is_raw_dim(curve):
+    # the stored l~ table and a fresh window past both of its ends
+    g, m = curve.genus, curve.shift_order
+    for lo, hi in ((2 - 6 * g, 6 * g - 4), (-6 * g - 3, 6 * g + 3)):
+        LT, off = lt_window(curve, lo, hi)
+        raw = [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(lo, hi + 1)]
+        assert LT.dtype == np.int64
+        assert np.array_equal(LT[lo - off : hi - off + 1], raw)
+
+
+def test_registry_grows_geometrically():
+    # a fresh curve, so no earlier test has grown its monomial registry
+    curve = type(make_curve("suzuki8"))()
+    builds = []
+    monomials = curve.monomials
+    curve.monomials = lambda max_pole: builds.append(max_pole) or monomials(max_pole)
+    assert semigroup(curve, 2000) == semigroup_oracle(GENERATORS["suzuki8"], 2000)
+    assert len(builds) <= 8, builds
 
 
 def test_index_of_specialty(curve):
