@@ -28,10 +28,8 @@ from .rrspace import (
     P_ORIGIN,
     Divisor,
     dim,
-    divisor_gcd,
     floor_divisor,
     function_basis,
-    index_of_specialty,
     is_gap,
     load_dim_cache,
     save_dim_cache,
@@ -55,13 +53,11 @@ __all__ = [
     "comega_code",
     "designed_distance",
     "dim",
-    "divisor_gcd",
     "evaluation_points",
     "floor_bound",
     "floor_divisor",
     "function_basis",
     "improvement_table",
-    "index_of_specialty",
     "is_gap",
     "kp_bound",
     "load_dim_cache",

@@ -165,27 +165,30 @@ def kp_search(curve: Curve, G: Divisor, point: str, one_point: bool = False):
     e_min, e_max = e1_lo - pad, 2 * g
     LT, off = lt_window(curve, e_min - 1, e_max)
     gamma2 = G.origin % m
-    n = e_max - e_min + 1
     e, cls = np.arange(e_min, e_max + 1), np.arange(m)[:, None]
     cur, prv = (cls, cls) if point == P_INF else ((cls + e) % m, (cls + e - 1) % m)
-    gap = LT[e - off, cur] == LT[e - 1 - off, prv]  # (class, e)
-    fwd = np.zeros((m, n + 1), dtype=np.int32)
-    bwd = np.zeros((m, n + 1), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        fwd[:, i] = np.where(gap[:, i], fwd[:, i + 1] + 1, 0)
-    for i in range(n):
-        bwd[:, i + 1] = np.where(gap[:, i], bwd[:, i] + 1, 0)
+    fwd, bwd = _gap_runs(LT[e - off, cur] == LT[e - 1 - off, prv])  # (class, e)
     # class 0 realizes as F with support only at `point` (F = 0 works)
     classes = np.arange(1 if one_point else m)[:, None]
     mate = (gamma2 - classes) % m if point == P_INF else (gamma2 - dG - classes) % m
     e1 = np.arange(e1_lo, e1_hi + 1)
-    run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 2 - e1 - e_min])
+    run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 1 - e1 - e_min])
     # the first maximum in (class, e1) order, as a strict-> scan would pick
     first = int(run.argmax())
     if run.flat[first] < 1:
         return None
     c, i = divmod(first, len(e1))
     return int(run.flat[first]), c, e1_lo + i
+
+
+def _gap_runs(gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `gap`, the lengths of the True runs that start (fwd) and
+    end (bwd) at each column: the distance to the nearest False after,
+    resp. before, found by one running min, resp. max, over the row."""
+    i = np.arange(gap.shape[1])
+    after = np.minimum.accumulate(np.where(gap, len(i), i)[:, ::-1], axis=1)[:, ::-1]
+    before = np.maximum.accumulate(np.where(gap, -1, i), axis=1)
+    return after - i, i - before
 
 
 # -- floor -------------------------------------------------------------------

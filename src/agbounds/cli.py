@@ -44,7 +44,7 @@ from .rrspace import (
     P_ORIGIN,
     floor_divisor,
     load_dim_cache,
-    lt_window,
+    lt_at,
     save_dim_cache,
     semigroup,
 )
@@ -189,8 +189,7 @@ def _result_obj(res: BoundResult | None, method: str, curve: Curve, G: Divisor) 
 
 def _cmd_ell(curve: Curve, args) -> int:
     G = parse_divisor(args.divisor)  # l(G) = l~(deg G, G.origin mod m)
-    LT, off = lt_window(curve, G.degree, G.degree)
-    print(LT[G.degree - off, G.origin % curve.shift_order])
+    print(lt_at(curve, G.degree, G.origin))
     return 0
 
 

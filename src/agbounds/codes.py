@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import af_bound, designed_distance, floor_bound, kp_bound
 from .curve import Curve, make_curve
 from .field import _row_reduce, nullspace_of
-from .rrspace import Divisor, P_INF, P_ORIGIN, dim, function_basis, subtract_points
+from .rrspace import Divisor, P_INF, P_ORIGIN, _context, dim, function_basis, subtract_points
 
 __all__ = [
     "Code",
@@ -68,18 +68,21 @@ def cl_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
     """Evaluation code: rows are a basis of L(G) evaluated on D."""
     _require_code_divisor(curve, G, one_point)
     pts = evaluation_points(curve, one_point)
-    basis = function_basis(curve, G)
-    rows = [[f.evaluate(p) for p in pts] for f in basis]
-    mat = np.array(rows, dtype=np.uint8).reshape(len(basis), len(pts))
+    coeffs, k = function_basis(curve, G)
+    field, ctx = curve.field, _context(curve)
+    values = np.array([ctx.value_col(p)[: coeffs.shape[1]] for p in pts], dtype=np.uint8)
+    mat = np.zeros((len(coeffs), len(pts)), dtype=np.uint8)
+    for c, v in zip(coeffs.T, values.T):  # one registry monomial at a time
+        mat = field.ADD[mat, field.MUL[c[:, None], v]]
+    # s vanishes only at the origin, which two-point D leaves out (k = 0 otherwise)
+    scale = [field.pow(curve.gen_values(p)[curve.shift_index], -k) for p in pts]
+    mat = field.MUL[mat, np.array(scale, dtype=np.uint8)]
     # dimension by Riemann-Roch: functions vanishing on all of D
     k_expected = dim(curve, G) - dim(curve, subtract_points(curve, G, pts))
-    field = curve.field
-    work = mat.copy()
-    rank, _ = _row_reduce(field, work, full=True)
+    rank, _ = _row_reduce(field, mat, full=True)
     if rank != k_expected:
         raise RuntimeError("internal error: evaluation rank disagrees with l(G) - l(G-D)")
-    gen = work[:rank].copy()
-    return Code(curve.name, G, "CL", pts, gen)
+    return Code(curve.name, G, "CL", pts, mat[:rank].copy())
 
 
 def comega_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
@@ -102,7 +105,9 @@ def comega_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
     return Code(curve.name, G, "COmega", cl.points, dual)
 
 
-_CHUNK = 1 << 18  # words compared per chunk in _weight_counts: bounds its memory
+# words compared per chunk in _weight_counts: bounds its memory, about 10 bytes
+# a word, since bincount widens each match count to an 8-byte index
+_CHUNK = 1 << 16
 
 
 def _span(field, rows: np.ndarray) -> np.ndarray:

@@ -141,9 +141,6 @@ class Curve:
         assert len(pts) == self._expected_points() - 1, "affine point count mismatch"
         return pts
 
-    def rational_points(self) -> list:
-        return list(self.affine_points) + [INFINITY]
-
     def gen_values(self, pt: tuple[int, int]) -> tuple[int, ...]:
         """Values of the curve generators at an affine point."""
         if pt is INFINITY:

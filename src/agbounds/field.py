@@ -145,9 +145,6 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         return int(self.ADD[a, self.NEG[b]])
 
-    def neg(self, a: int) -> int:
-        return int(self.NEG[a])
-
     def mul(self, a: int, b: int) -> int:
         return int(self.MUL[a, b])
 

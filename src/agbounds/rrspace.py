@@ -21,7 +21,15 @@ against, not inputs.
 The bound searches and `ell` read one table per curve instead, since
 l(a*Pinf + b*P0) = l~(a + b, b mod m): dim() fills degrees 0..2g-1 once,
 and lt_window() pads it by Riemann-Roch to degrees -6g+2..6g-4 (all that
-af and kp read for deg G >= 0).  dim() stays raw; witness checks call it.
+af and kp read for deg G >= 0).  lt_at() reads one entry in Python ints,
+so a coefficient past 2^63 costs no array.  dim() stays raw; witness
+checks call it.
+
+function_basis() returns a basis of L(D) as a coefficient matrix C over
+the registry monomials plus the shift exponent k: row i is the function
+s^(-k) * sum_j C[i, j] * mono_j.  Codes evaluate it from the value table
+of the registry monomials at each point (_Context.value_col), a column
+of field gathers per monomial, then scale each point's column by s(P)^(-k).
 """
 
 from __future__ import annotations
@@ -41,9 +49,6 @@ __all__ = [
     "Divisor",
     "dim",
     "function_basis",
-    "RationalFunction",
-    "index_of_specialty",
-    "divisor_gcd",
     "floor_divisor",
     "shift_divisor",
     "subtract_points",
@@ -238,80 +243,30 @@ def lt_window(curve: Curve, lo: int, hi: int) -> tuple[np.ndarray, int]:
     return np.where((d >= 0) & (d < 2 * g), inside, np.maximum(d + 1 - g, 0)), lo
 
 
-@dataclass(frozen=True)
-class RationalFunction:
-    """s^(-shift_exp) times a linear combination of basis monomials."""
-
-    curve: Curve
-    shift_exp: int
-    terms: tuple[tuple[int, Monomial], ...]
-
-    def evaluate(self, pt) -> int:
-        if pt is INFINITY:
-            raise ValueError("cannot evaluate at infinity")
-        curve = self.curve
-        f = curve.field
-        if pt == curve.origin and self.shift_exp > 0:
-            # f = g / s^k with ord_0(s) = m, so f(P0) is g's x^(mk) coefficient
-            # over lead(s)^k, unless g has a lower term: then f has a pole.
-            mk = curve.shift_order * self.shift_exp
-            g = np.zeros(mk + 1, dtype=np.uint8)
-            for c, mo in self.terms:
-                a = mo.exps[0]
-                if a <= mk:
-                    combo = curve.combo_series(tuple(mo.exps[1:]), mk + 1)
-                    g[a:] = f.ADD[g[a:], f.MUL[c, combo[: mk + 1 - a]]]
-            if g[:mk].any():
-                raise ValueError("function has a pole at the origin")
-            s = curve.series(mk + 1)[curve.gens[curve.shift_index]]
-            return f.mul(int(g[mk]), f.pow(int(s[curve.shift_order]), -self.shift_exp))
-        acc = 0
-        for c, mo in self.terms:
-            acc = f.add(acc, f.mul(c, curve.evaluate_monomial(mo, pt)))
-        if self.shift_exp:
-            s = curve.gen_values(pt)[curve.shift_index]
-            acc = f.mul(acc, f.pow(s, -self.shift_exp))
-        return acc
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(shift_exp={self.shift_exp}, terms={len(self.terms)})"
+def lt_at(curve: Curve, d: int, r: int) -> int:
+    """l~(d, r) for one degree: Riemann-Roch in Python ints outside 0..2g-1."""
+    g = curve.genus
+    if not 0 <= d < 2 * g:
+        return max(d + 1 - g, 0)
+    LT, off = lt_window(curve, 0, 2 * g - 1)
+    return int(LT[d - off, r % curve.shift_order])
 
 
-def function_basis(curve: Curve, divisor: Divisor) -> list[RationalFunction]:
-    """A basis of L(divisor); length always equals dim(curve, divisor)."""
+def function_basis(curve: Curve, divisor: Divisor) -> tuple[np.ndarray, int]:
+    """A basis of L(divisor) as (C, k): row i is s^(-k) * sum_j C[i, j] * mono_j
+    over the first C.shape[1] registry monomials, those of pole order at most
+    divisor.inf + m*k; C has dim(curve, divisor) rows."""
     ctx = _context(curve)
     _validate(curve, divisor)
     k, N, nzero = _shift_data(curve, divisor)
-    if N < 0:
-        return []
-    ctx.ensure(N, nzero)
-    nb = bisect.bisect_right(ctx.poles, N)
-    if nb == 0:
-        return []
-    monos = ctx.registry[:nb]
-    if nzero == 0 and not divisor.constraints:
-        vecs = [np.eye(nb, dtype=np.uint8)[i] for i in range(nb)]
-    else:
-        mat = _constraint_matrix(ctx, divisor, nb, nzero)
-        vecs = nullspace_of(ctx.field, mat.T.copy())
-    out = []
-    for v in vecs:
-        terms = tuple((int(c), mo) for c, mo in zip(v, monos) if c)
-        out.append(RationalFunction(curve, k, terms))
-    return out
-
-
-def index_of_specialty(curve: Curve, divisor: Divisor) -> int:
-    """i(D) = l(K - D) with K = (2g - 2) * Pinf."""
-    if divisor.constraints:
-        raise ValueError("index_of_specialty expects a two-point divisor")
-    k = Divisor(2 * curve.genus - 2 - divisor.inf, -divisor.origin)
-    return dim(curve, k)
-
-
-def divisor_gcd(a: Divisor, b: Divisor) -> Divisor:
-    """Pointwise minimum of two divisors."""
-    return Divisor(min(a.inf, b.inf), min(a.origin, b.origin), a.constraints | b.constraints)
+    nb = 0
+    if N >= 0:
+        ctx.ensure(N, nzero)
+        nb = bisect.bisect_right(ctx.poles, N)
+    if nb == 0 or (nzero == 0 and not divisor.constraints):
+        return np.eye(nb, dtype=np.uint8), k
+    mat = _constraint_matrix(ctx, divisor, nb, nzero)
+    return np.array(nullspace_of(ctx.field, mat.T.copy()), dtype=np.uint8).reshape(-1, nb), k
 
 
 def floor_divisor(curve: Curve, divisor: Divisor) -> Divisor:

@@ -3,6 +3,7 @@ the dominance and witness-re-verification invariants."""
 
 import random
 
+import numpy as np
 import pytest
 
 from _reference_tables import SUZUKI8_AF, cells
@@ -360,6 +361,22 @@ def test_kp_search_matches_raw_dimension_oracle(name):
             else:
                 assert kp is not None and kp.improvement == want, where
                 assert verify_witness(curve, kp), where
+
+
+def test_gap_runs_match_a_counting_loop():
+    # kp_search's scans against the run counts a plain loop makes
+    rng = random.Random(12)
+    for n in (1, 2, 7, 40):
+        rows = [[True] * n, [False] * n]
+        rows += [[rng.random() < p for _ in range(n)] for p in (0.2, 0.5, 0.8, 0.95)]
+        fwd, bwd = bounds._gap_runs(np.array(rows))
+        for row, f, b in zip(rows, fwd, bwd):
+            ahead, behind = [0] * (n + 1), [0] * (n + 1)
+            for i in reversed(range(n)):
+                ahead[i] = ahead[i + 1] + 1 if row[i] else 0
+            for i in range(n):
+                behind[i + 1] = behind[i] + 1 if row[i] else 0
+            assert f.tolist() == ahead[:n] and b.tolist() == behind[1:], row
 
 
 @pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])

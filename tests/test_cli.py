@@ -77,17 +77,23 @@ def test_ell_command_matches_dim(capsys, name):
 
 @pytest.mark.parametrize(
     "name, divisor, want",
-    [("hermitian4", "99999999999*Pinf", "99999999999"), ("suzuki8", "20000*Pinf", "19987")],
+    [
+        ("hermitian4", "99999999999*Pinf", "99999999999"),
+        ("suzuki8", "20000*Pinf", "19987"),
+        ("hermitian4", "10000000000000000000000000*Pinf", "10000000000000000000000000"),
+        ("hermitian4", "-10000000000000000000000000*Pinf", "0"),
+    ],
 )
 def test_ell_huge_coefficient_is_bounded(name, divisor, want):
-    # deg G + 1 - g by Riemann-Roch, read without a basis up to the pole order
+    # deg G + 1 - g by Riemann-Roch in Python ints, past 2^63 too, read
+    # without a basis up to the pole order
     proc = subprocess.run(
-        [sys.executable, "-m", "agbounds", "--curve", name, "ell", divisor],
+        [sys.executable, "-m", "agbounds", "--curve", name, "ell", "--", divisor],
         capture_output=True,
         text=True,
         timeout=30,
     )
-    assert proc.returncode == 0 and proc.stdout == want + "\n"
+    assert proc.returncode == 0 and proc.stdout == want + "\n" and proc.stderr == ""
 
 
 def test_floor_command(capsys):
