@@ -13,7 +13,7 @@ import pytest
 
 from agbounds.codes import cl_code, evaluation_points
 from agbounds.curve import make_curve
-from agbounds.field import _row_reduce
+from agbounds.field import _row_reduce, rank_of
 from agbounds.rrspace import (
     Divisor,
     dim,
@@ -210,31 +210,96 @@ def test_function_basis_sizes(curve):
         assert coeffs.shape == (dim(curve, A), len(curve.monomials(a + m * k)))
 
 
+def basis_values(curve, G, pts):
+    """Row i, column c: s(P_c)^(-k) * sum_j C[i, j] * mono_j(P_c) for the
+    basis (C, k) of L(G), built one entry at a time."""
+    field = curve.field
+    coeffs, k = function_basis(curve, G)
+    monos = curve.monomials(G.inf + curve.shift_order * k)
+    mat = np.zeros((len(coeffs), len(pts)), dtype=np.uint8)
+    for c, p in enumerate(pts):
+        values = [curve.evaluate_monomial(mo, p) for mo in monos]
+        scale = field.pow(curve.gen_values(p)[curve.shift_index], -k)
+        for r, row in enumerate(coeffs):
+            acc = 0
+            for cj, v in zip(row, values):
+                acc = field.add(acc, field.mul(int(cj), v))
+            mat[r, c] = field.mul(acc, scale)
+    return mat
+
+
+def origin_values(curve, G):
+    """Each basis function of L(G) at P0, or None where it has a pole there.
+
+    f = g / s^k with ord_0(s) = m, so f(P0) is the x^(mk) coefficient of g's
+    expansion at P0 over lead(s)^k, unless g has a lower term."""
+    field = curve.field
+    coeffs, k = function_basis(curve, G)
+    monos = curve.monomials(G.inf + curve.shift_order * k)
+    if k == 0:
+        return [basis_values(curve, G, [curve.origin])[r, 0] for r in range(len(coeffs))]
+    mk = curve.shift_order * k
+    s = curve.series(mk + 1)[curve.gens[curve.shift_index]]
+    lead = field.pow(int(s[curve.shift_order]), -k)
+    out = []
+    for row in coeffs:
+        g = np.zeros(mk + 1, dtype=np.uint8)
+        for c, mo in zip(row, monos):
+            a = mo.exps[0]
+            if c and a <= mk:
+                combo = curve.combo_series(tuple(mo.exps[1:]), mk + 1)
+                g[a:] = field.ADD[g[a:], field.MUL[int(c), combo[: mk + 1 - a]]]
+        out.append(None if g[:mk].any() else field.mul(int(g[mk]), lead))
+    return out
+
+
 def test_function_basis_evaluates_everywhere_off_support(curve):
     # D lies off the support of G, so the basis of L(G) has a value at each
-    # of its points, and C_L's generator is the RREF of those values; here
-    # they are built one entry at a time: s(P)^(-k) * sum_j C[i, j] * mono_j(P)
-    field, m = curve.field, curve.shift_order
+    # of its points, and C_L's generator is the RREF of those values
+    field = curve.field
     rng = random.Random(1200 + curve.genus)
     window = [(a, b) for a in range(-4, 14) for b in range(-4, 14)]
     cases = [(Divisor(a, b), False) for a, b in rng.sample(window, 24)]
     cases += [(Divisor(a, 0), True) for a in rng.sample(range(-2, 3 * curve.genus + 8), 6)]
     assert any(G.origin < 0 for G, _ in cases) and any(G.origin > 0 for G, _ in cases)
     for G, one_point in cases:
-        coeffs, k = function_basis(curve, G)
-        monos = curve.monomials(G.inf + m * k)
-        pts = evaluation_points(curve, one_point)
-        mat = np.zeros((len(coeffs), len(pts)), dtype=np.uint8)
-        for c, p in enumerate(pts):
-            values = [curve.evaluate_monomial(mo, p) for mo in monos]
-            scale = field.pow(curve.gen_values(p)[curve.shift_index], -k)
-            for r, row in enumerate(coeffs):
-                acc = 0
-                for cj, v in zip(row, values):
-                    acc = field.add(acc, field.mul(int(cj), v))
-                mat[r, c] = field.mul(acc, scale)
+        mat = basis_values(curve, G, evaluation_points(curve, one_point))
         rank, _ = _row_reduce(field, mat, full=True)
         assert np.array_equal(cl_code(curve, G, one_point).generator, mat[:rank]), G
+
+
+def test_evaluate_at_the_origin_matches_a_value_vector_oracle(curve):
+    # n points off the origin fix a function of L(a*Pinf + b*P0) when
+    # a + b < n.  So f has no pole at P0 exactly when its values there lie
+    # in the span of L(a*Pinf)'s, and then f(P0) is the one c for which
+    # f - c lies in L(a*Pinf - P0).  Spans are compared by rank.
+    field = curve.field
+    pts = [p for p in curve.affine_points if p != curve.origin]
+    n = len(pts)
+
+    def in_span(rows, v):
+        return rank_of(field, np.vstack([rows, v])) == rank_of(field, rows)
+
+    pairs = [(a, b) for a in range(-2, 12) for b in range(1, 30) if a + b < n]
+    if len(pairs) > 60:
+        pairs = random.Random(1200 + n).sample(pairs, 60)
+    regular = poles = 0
+    for a, b in pairs:
+        G = Divisor(a, b)
+        regular_span = basis_values(curve, Divisor(a, 0), pts)
+        vanishing_span = basis_values(curve, Divisor(a, -1), pts)
+        for v, at_origin in zip(basis_values(curve, G, pts), origin_values(curve, G)):
+            if not in_span(regular_span, v):
+                assert at_origin is None, f"row {v} of L({a}*Pinf + {b}*P0)"
+                poles += 1
+                continue
+            fits = [
+                c for c in field.elements()
+                if in_span(vanishing_span, field.ADD[v, field.NEG[c]])
+            ]
+            assert fits == [at_origin], f"row {v} of L({a}*Pinf + {b}*P0)"
+            regular += 1
+    assert regular and poles
 
 
 def test_dim_cache_round_trip(tmp_path, curve):
