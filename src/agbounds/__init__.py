@@ -31,8 +31,6 @@ from .rrspace import (
     floor_divisor,
     function_basis,
     is_gap,
-    load_dim_cache,
-    save_dim_cache,
     semigroup,
     shift_divisor,
 )
@@ -60,11 +58,9 @@ __all__ = [
     "improvement_table",
     "is_gap",
     "kp_bound",
-    "load_dim_cache",
     "make_curve",
     "make_field",
     "min_distance_exhaustive",
-    "save_dim_cache",
     "semigroup",
     "shift_divisor",
     "verify_soundness",

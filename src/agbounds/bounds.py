@@ -20,6 +20,9 @@ keeps them complete over small windows:
 * kp: gap runs end at degree 2g (exactness forces a jump), so the run
   start in degree terms lives in [deg(G) + 2 - 2g, 2g - 1].
 
+The floor search reads the same table, four entries per candidate
+split (_is_floor), so a huge coefficient costs no more than a small one.
+
 The same shift invariance makes af and kp values equal on every
 representative G + k*m*(P0 - Pinf); the floor decomposition couples G
 to 2H and is genuinely representative-dependent, so floor_bound folds
@@ -29,11 +32,12 @@ over one period of representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curve import Curve, make_curve
-from .rrspace import Divisor, P_INF, P_ORIGIN, dim, floor_divisor, lt_window, shift_divisor
+from .rrspace import Divisor, P_INF, P_ORIGIN, dim, lt_at, lt_window, shift_divisor
 
 __all__ = [
     "BoundResult",
@@ -201,6 +205,9 @@ def floor_search(curve: Curve, G: Divisor, one_point: bool = False):
     parity-compatible splits of deg E; deg E <= g because
     l(floor(H)) = l(H) >= 1 forces deg floor(H) >= deg(H) - g.
     """
+    def ell(D: Divisor) -> int:
+        return lt_at(curve, D.degree, D.origin)
+
     g1, g2 = G.inf, G.origin
     at_origin = one_point and G.inf == 0 and G.origin != 0
     for eps in range(curve.genus, -1, -1):
@@ -212,12 +219,28 @@ def floor_search(curve: Curve, G: Divisor, one_point: bool = False):
             e2 = eps - e1
             if (g1 + e1) % 2 or (g2 + e2) % 2:
                 continue
-            H = Divisor((g1 + e1) // 2, (g2 + e2) // 2)
-            if dim(curve, H) == 0:
-                continue
-            if floor_divisor(curve, H) == Divisor(H.inf - e1, H.origin - e2):
-                return eps, H, Divisor(e1, e2)
+            H, E = Divisor((g1 + e1) // 2, (g2 + e2) // 2), Divisor(e1, e2)
+            if _is_floor(ell, H, E):
+                return eps, H, E
     return None
+
+
+def _is_floor(ell, H: Divisor, E: Divisor) -> bool:
+    """True when floor(H) = H - E, where ell(D) = l(D).
+
+    The floor is unique (Maharaj, Matthews and Pirsic 2005), so H - E is
+    it exactly when E >= 0, l(H - E) = l(H), and dropping either point
+    from H - E shrinks the space (which also rules out l(H) = 0).
+    """
+    if E.inf < 0 or E.origin < 0:
+        return False
+    ell_H = ell(H)
+    F = H - E
+    return (
+        ell(F) == ell_H
+        and ell(F - Divisor(1, 0)) != ell_H
+        and ell(F - Divisor(0, 1)) != ell_H
+    )
 
 
 def _designed_value(curve: Curve, G: Divisor) -> int:
@@ -340,13 +363,9 @@ def verify_witness(curve: Curve, result: BoundResult) -> bool:
         )
     if result.method == "floor":
         H, E = w["H"], w["E"]
-        if E.inf < 0 or E.origin < 0 or dim(curve, H) == 0:
-            return False
-        rest = G - H
-        if H - E != rest:
-            return False
         return (
-            floor_divisor(curve, H) == rest
+            H - E == G - H
+            and _is_floor(partial(dim, curve), H, E)
             and result.value == designed + E.degree
         )
     if result.method in ("kp_Pinf", "kp_P0"):

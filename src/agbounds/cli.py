@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -43,9 +42,7 @@ from .rrspace import (
     P_INF,
     P_ORIGIN,
     floor_divisor,
-    load_dim_cache,
     lt_at,
-    save_dim_cache,
     semigroup,
 )
 
@@ -296,16 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--curve", required=True, choices=CURVES)
     parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="ell-table CSV cache, loaded if present and updated on success",
-    )
-    parser.add_argument(
-        "--check-cache",
-        action="store_true",
-        help="recompute every cached ell value on load",
-    )
-    parser.add_argument(
         "--threads",
         type=_worker_count,
         default=1,
@@ -380,15 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     curve = make_curve(args.curve)
     try:
-        if args.cache and os.path.exists(args.cache):
-            load_dim_cache(curve, args.cache, verify=args.check_cache)
-        rc = _COMMANDS[args.command](curve, args)
+        return _COMMANDS[args.command](curve, args)
     except ValueError as exc:
         print(f"agbounds: {exc}", file=sys.stderr)
         return 2
-    if args.cache and rc == 0:
-        save_dim_cache(curve, args.cache)
-    return rc
 
 
 if __name__ == "__main__":

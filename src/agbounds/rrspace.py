@@ -18,12 +18,13 @@ No Riemann-Roch formula shortcut is used anywhere in dim(): exactness,
 duality and shift invariance are theorems this module is tested
 against, not inputs.
 
-The bound searches and `ell` read one table per curve instead, since
-l(a*Pinf + b*P0) = l~(a + b, b mod m): dim() fills degrees 0..2g-1 once,
-and lt_window() pads it by Riemann-Roch to degrees -6g+2..6g-4 (all that
-af and kp read for deg G >= 0).  lt_at() reads one entry in Python ints,
-so a coefficient past 2^63 costs no array.  dim() stays raw; witness
-checks call it.
+Every bound search, `ell`, `floor`, is_gap() and semigroup() read one
+table per curve instead, since l(a*Pinf + b*P0) = l~(a + b, b mod m):
+dim() fills degrees 0..2g-1 once, and lt_window() pads it by Riemann-Roch
+to degrees -6g+2..6g-4 (all that af and kp read for deg G >= 0).  lt_at()
+reads one entry in Python ints, so a coefficient past 2^63 costs no
+array; the floor search and floor_divisor() read it.  Otherwise dim()
+only fills the table and re-checks witnesses (and sizes codes).
 
 function_basis() returns a basis of L(D) as a coefficient matrix C over
 the registry monomials plus the shift exponent k: row i is the function
@@ -35,7 +36,6 @@ of field gathers per monomial, then scale each point's column by s(P)^(-k).
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +54,6 @@ __all__ = [
     "subtract_points",
     "is_gap",
     "semigroup",
-    "save_dim_cache",
-    "load_dim_cache",
 ]
 
 P_INF = "Pinf"
@@ -275,59 +273,28 @@ def floor_divisor(curve: Curve, divisor: Divisor) -> Divisor:
     Only the two distinguished points are decremented, so this is the
     two-point floor.  Once a point refuses to decrement it never becomes
     removable again (the space stays equal to L(D) while the divisor
-    shrinks), so one pass per point suffices.
+    shrinks), so one pass per point suffices.  Each pass reads l~ and
+    stops within 2g + 1 steps: l = 0 below degree 0, and from degree 2g
+    on every step drops l.
     """
-    ell = dim(curve, divisor)
+    if divisor.constraints:
+        raise ValueError("floor is defined for two-point divisors only")
+    inf, origin = divisor.inf, divisor.origin
+    ell = lt_at(curve, inf + origin, origin)
     if ell == 0:
         raise ValueError("floor is undefined for a divisor with l(D) = 0")
-    inf, origin = divisor.inf, divisor.origin
-    while dim(curve, Divisor(inf - 1, origin, divisor.constraints)) == ell:
+    while lt_at(curve, inf + origin - 1, origin) == ell:
         inf -= 1
-    while dim(curve, Divisor(inf, origin - 1, divisor.constraints)) == ell:
+    while lt_at(curve, inf + origin - 1, origin - 1) == ell:
         origin -= 1
-    return Divisor(inf, origin, divisor.constraints)
+    return Divisor(inf, origin)
 
 
 def is_gap(curve: Curve, n: int) -> bool:
     """True when no function has pole order exactly n at Pinf."""
-    return dim(curve, Divisor(n, 0)) == dim(curve, Divisor(n - 1, 0))
+    return lt_at(curve, n, 0) == lt_at(curve, n - 1, 0)
 
 
 def semigroup(curve: Curve, limit: int) -> list[int]:
     """Weierstrass non-gaps at Pinf up to and including limit."""
     return [n for n in range(limit + 1) if not is_gap(curve, n)]
-
-
-def save_dim_cache(curve: Curve, path: str) -> int:
-    """Write memoized two-point dim values as CSV; returns the row count."""
-    ctx = _context(curve)
-    n = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve", "inf", "origin", "ell"])
-        for (inf, origin, cons), ell in sorted(ctx.dim_memo.items()):
-            if not cons:
-                writer.writerow([curve.name, inf, origin, ell])
-                n += 1
-    return n
-
-
-def load_dim_cache(curve: Curve, path: str, verify: bool = False) -> int:
-    """Load CSV rows written by save_dim_cache; returns rows accepted."""
-    ctx = _context(curve)
-    n = 0
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["curve"] != curve.name:
-                continue
-            inf, origin, ell = int(row["inf"]), int(row["origin"]), int(row["ell"])
-            if verify:
-                ctx.dim_memo.pop((inf, origin, frozenset()), None)
-                got = dim(curve, Divisor(inf, origin))
-                if got != ell:
-                    raise ValueError(
-                        f"cache mismatch for ({inf},{origin}): file {ell}, computed {got}"
-                    )
-            ctx.dim_memo[(inf, origin, frozenset())] = ell
-            n += 1
-    return n

@@ -2,6 +2,7 @@
 the dominance and witness-re-verification invariants."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from _reference_tables import SUZUKI8_AF, cells
 from agbounds import bounds
 from agbounds.bounds import (
+    BoundResult,
     af_bound,
     best_bound,
     designed_distance,
@@ -18,7 +20,15 @@ from agbounds.bounds import (
     verify_witness,
 )
 from agbounds.curve import make_curve
-from agbounds.rrspace import P_INF, P_ORIGIN, Divisor, dim, lt_window
+from agbounds.rrspace import (
+    P_INF,
+    P_ORIGIN,
+    Divisor,
+    dim,
+    floor_divisor,
+    lt_window,
+    shift_divisor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,24 +167,29 @@ def test_floor_fold_beats_or_matches_no_fold(sz):
 
 def test_witness_tampering_is_caught(sz):
     af = af_bound(sz, Divisor(1, 32))
-    bad = af.__class__(
-        method=af.method,
-        value=af.value + 1,
-        designed=af.designed,
-        curve=af.curve,
-        divisor=af.divisor,
-        witness=af.witness,
-    )
-    assert not verify_witness(sz, bad)
-    worse = af.__class__(
-        method=af.method,
-        value=af.value,
-        designed=af.designed,
-        curve=af.curve,
-        divisor=af.divisor,
-        witness={**af.witness, "Z": Divisor(2, 2)},
-    )
-    assert not verify_witness(sz, worse)
+    assert not verify_witness(sz, replace(af, value=af.value + 1))
+    assert not verify_witness(sz, replace(af, witness={**af.witness, "Z": Divisor(2, 2)}))
+    fl = floor_bound(sz, Divisor(1, 32), fold=False)  # H = 16*P0 + 1*Pinf, E = 1*Pinf
+    H, E = fl.witness["H"], fl.witness["E"]
+    assert verify_witness(sz, fl)
+    for bad in (
+        replace(fl, witness={"H": H, "E": E + Divisor(1, 0)}),
+        replace(fl, witness={"H": H, "E": E + Divisor(0, 1)}),
+        replace(fl, value=fl.value + 1),
+        # still 2H = G + E, but 16*P0 - 1*Pinf is not the floor of 16*P0 + 2*Pinf
+        replace(fl, witness={"H": H + Divisor(1, 0), "E": E + Divisor(2, 0)}),
+    ):
+        assert not verify_witness(sz, bad), bad.witness
+    # 2H = G + E, and H - E = 8*P0 - 1*Pinf meets both minimality
+    # conditions with l(H - E) = l(H), but E < 0 at P0
+    G = Divisor(0, 15)
+    designed = designed_distance(sz, G).value
+    negative = BoundResult("floor", designed + 1, designed, sz.name, G,
+                           witness={"H": Divisor(1, 7), "E": Divisor(2, -1)})
+    assert not verify_witness(sz, negative)
+    kp = kp_bound(sz, Divisor(41, 0), P_INF)
+    assert verify_witness(sz, kp)
+    assert not verify_witness(sz, replace(kp, witness={**kp.witness, "t": kp.witness["t"] + 1}))
 
 
 def test_determinism(sz):
@@ -361,6 +376,89 @@ def test_kp_search_matches_raw_dimension_oracle(name):
             else:
                 assert kp is not None and kp.improvement == want, where
                 assert verify_witness(curve, kp), where
+
+
+# -- the floor against a raw dim() walk --------------------------------------
+
+
+def _floor_by_raw_dims(curve, D):
+    """The two-point floor of D by walking raw dim() down one point at a
+    time, one pass per point; None when l(D) = 0."""
+    ell = dim(curve, D)
+    if ell == 0:
+        return None
+    inf, origin = D.inf, D.origin
+    while dim(curve, Divisor(inf - 1, origin)) == ell:
+        inf -= 1
+    while dim(curve, Divisor(inf, origin - 1)) == ell:
+        origin -= 1
+    return Divisor(inf, origin)
+
+
+def _floor_bound_by_raw_dims(curve, G, fold=True, one_point=False):
+    """(value, representative_shift, witness) of the best G = H + floor(H)
+    over the shift representatives, or None, with every floor taken by
+    _floor_by_raw_dims.  Same order as floor_bound: representatives by
+    |k| (k > 0 first), then deg E descending, then E.inf ascending; a
+    later representative wins only with a strictly larger deg E."""
+    m = curve.shift_order
+    ks = sorted(range(-(m // 2), m - m // 2), key=lambda k: (abs(k), k < 0))
+    best = None
+    for k in ks if fold and not one_point else [0]:
+        S = shift_divisor(curve, G, k)
+        for eps in range(curve.genus, best[0] if best else -1, -1):
+            if one_point:
+                splits = [0] if S.inf == 0 and S.origin != 0 else [eps]
+            else:
+                splits = range(eps + 1)
+            hits = [
+                Divisor((S.inf + e1) // 2, (S.origin + eps - e1) // 2)
+                for e1 in splits
+                if (S.inf + e1) % 2 == 0 and (S.origin + eps - e1) % 2 == 0
+            ]
+            hits = [H for H in hits if _floor_by_raw_dims(curve, H) == S - H]
+            if hits:
+                best = (eps, k, {"H": hits[0], "E": hits[0] - (S - hits[0])})
+                break
+    if best is None:
+        return None
+    eps, k, witness = best
+    return G.degree - (2 * curve.genus - 2) + eps, k, witness
+
+
+def _floor_cases(curve, seed):
+    g = curve.genus
+    rng = random.Random(seed)
+    lo, hi = -(2 * g + 2), 4 * g + 2
+    return [Divisor(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(40)]
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_floor_divisor_matches_a_raw_dim_walk(name):
+    curve = make_curve(name)
+    for D in _floor_cases(curve, 31) + _one_point_divisors(-3, 2 * curve.genus + 2):
+        want = _floor_by_raw_dims(curve, D)
+        if want is None:
+            with pytest.raises(ValueError):
+                floor_divisor(curve, D)
+        else:
+            assert floor_divisor(curve, D) == want, D
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_floor_bound_matches_a_search_over_the_raw_walk(name):
+    curve = make_curve(name)
+    cases = [(G, fold, False) for G in _floor_cases(curve, 37) for fold in (True, False)]
+    cases += [(G, False, True) for G in _one_point_divisors(-3, 4 * curve.genus + 2)]
+    for G, fold, one_point in cases:
+        got = floor_bound(curve, G, fold=fold, one_point=one_point)
+        want = _floor_bound_by_raw_dims(curve, G, fold, one_point)
+        where = f"floor at {G} (fold={fold}, one_point={one_point})"
+        if want is None:
+            assert got is None, where
+        else:
+            assert (got.value, got.representative_shift, got.witness) == want, where
+            assert verify_witness(curve, got), where
 
 
 def test_gap_runs_match_a_counting_loop():

@@ -3,6 +3,7 @@ against golden files, code matrices, verify plumbing, and exit codes."""
 
 import json
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,23 @@ def test_ell_command_matches_dim(capsys, name):
             assert rc == 0 and out == f"{dim(curve, D)}\n", D
 
 
+def run_capped(name, *argv):
+    """`agbounds --curve name argv...` in a child capped at 512 MB of
+    address space and 10 s, so a cost that grows with a coefficient
+    fails the test instead of the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "agbounds", "--curve", name, *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=cap,
+    )
+
+
 @pytest.mark.parametrize(
     "name, divisor, want",
     [
@@ -87,13 +105,58 @@ def test_ell_command_matches_dim(capsys, name):
 def test_ell_huge_coefficient_is_bounded(name, divisor, want):
     # deg G + 1 - g by Riemann-Roch in Python ints, past 2^63 too, read
     # without a basis up to the pole order
-    proc = subprocess.run(
-        [sys.executable, "-m", "agbounds", "--curve", name, "ell", "--", divisor],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    proc = run_capped(name, "ell", "--", divisor)
     assert proc.returncode == 0 and proc.stdout == want + "\n" and proc.stderr == ""
+
+
+def _bound_line(curve, divisor, method, value, witness):
+    """The JSON line `bound` prints for a result with no improvement."""
+    obj = {
+        "curve": curve, "divisor": divisor, "method": method, "value": value,
+        "designed": value, "improvement": 0, "representative_shift": 0,
+        "witness": witness,
+    }
+    return json.dumps(obj) + "\n"
+
+
+E9, E25 = "1000000000", "10000000000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "name, argv, want",
+    [
+        # floor(n*P) = n*P once n >= 2g
+        ("hermitian4", ("floor", f"{E9}*Pinf"), f"{E9}*Pinf\n"),
+        ("hermitian4", ("floor", f"{E25}*P0"), f"{E25}*P0\n"),
+        (
+            "hermitian4", ("bound", f"{E9}*Pinf"),
+            _bound_line("hermitian4", f"{E9}*Pinf", "af", 10**9,
+                        {"A": f"{E9}*Pinf", "B": "0", "Z": "0"}),
+        ),
+        (
+            "suzuki8", ("bound", f"{E25}*Pinf"),
+            _bound_line("suzuki8", f"{E25}*Pinf", "af", 10**25 - 26,
+                        {"A": f"{E25}*Pinf", "B": "0", "Z": "0"}),
+        ),
+        (
+            "hermitian4", ("bound", "--method", "floor", f"{E9}*P0"),
+            _bound_line("hermitian4", f"{E9}*P0", "floor", 10**9,
+                        {"H": "500000000*P0", "E": "0"}),
+        ),
+        (
+            "hermitian4", ("bound", "--", f"{E9}*Pinf - 999999990*P0"),
+            _bound_line("hermitian4", f"-999999990*P0 + {E9}*Pinf", "af", 10,
+                        {"A": f"-999999990*P0 + {E9}*Pinf", "B": "0", "Z": "0"}),
+        ),
+    ],
+    ids=["floor-1e9", "floor-1e25", "bound-1e9", "bound-1e25-suzuki8",
+         "bound-floor-1e9", "bound-mixed-1e9"],
+)
+def test_floor_and_bound_huge_coefficient_is_bounded(name, argv, want):
+    # the floor search and the floor command read l~, so they cost no
+    # basis up to the pole order
+    proc = run_capped(name, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 def test_floor_command(capsys):
@@ -317,36 +380,6 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     rc, out, _ = run(capsys, "--curve", "hermitian4", "verify")
     assert rc == 3
     assert not json.loads(out)["ok"]
-
-
-# -- cache ---------------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path, capsys):
-    path = str(tmp_path / "ell.csv")
-    rc, out1, _ = run(
-        capsys, "--curve", "hermitian16", "--cache", path, "ell", "13*Pinf"
-    )
-    assert rc == 0 and Path(path).exists()
-    rc, out2, _ = run(
-        capsys, "--curve", "hermitian16", "--cache", path, "--check-cache",
-        "ell", "13*Pinf",
-    )
-    assert rc == 0 and out1 == out2
-
-
-def test_cache_corruption_detected(tmp_path, capsys):
-    path = tmp_path / "ell.csv"
-    run(capsys, "--curve", "hermitian4", "--cache", str(path), "ell", "5*Pinf")
-    text = path.read_text().splitlines()
-    head, inf, origin, ell = text[-1].split(",")
-    text[-1] = ",".join([head, inf, origin, str(int(ell) + 1)])
-    path.write_text("\n".join(text) + "\n")
-    rc, _, err = run(
-        capsys, "--curve", "hermitian4", "--cache", str(path), "--check-cache",
-        "ell", "5*Pinf",
-    )
-    assert rc == 2 and "mismatch" in err
 
 
 # -- console entry point --------------------------------------------------------
