@@ -42,6 +42,7 @@ from .rrspace import (
     P_INF,
     P_ORIGIN,
     floor_divisor,
+    is_gap,
     lt_at,
     semigroup,
 )
@@ -196,8 +197,10 @@ def _cmd_floor(curve: Curve, args) -> int:
 
 
 def _cmd_semigroup(curve: Curve, args) -> int:
-    nongaps = semigroup(curve, args.limit)
-    vals = sorted(set(range(args.limit + 1)) - set(nongaps)) if args.gaps else nongaps
+    if args.gaps:  # every gap lies in 1..2g-1
+        vals = [n for n in range(min(args.limit, 2 * curve.genus - 1) + 1) if is_gap(curve, n)]
+    else:
+        vals = semigroup(curve, args.limit)
     print(" ".join(str(v) for v in vals))
     return 0
 

@@ -24,7 +24,10 @@ dim() fills degrees 0..2g-1 once, and lt_window() pads it by Riemann-Roch
 to degrees -6g+2..6g-4 (all that af and kp read for deg G >= 0).  lt_at()
 reads one entry in Python ints, so a coefficient past 2^63 costs no
 array; the floor search and floor_divisor() read it.  Otherwise dim()
-only fills the table and re-checks witnesses (and sizes codes).
+only fills the table, re-checks witnesses and sizes codes, the last
+through the two-point equivalent of the evaluation divisor
+(codes.dimension).  Nothing in the package builds a constrained
+divisor; they stay as the independent oracle for that equivalence.
 
 function_basis() returns a basis of L(D) as a coefficient matrix C over
 the registry monomials plus the shift exponent k: row i is the function
@@ -51,7 +54,6 @@ __all__ = [
     "function_basis",
     "floor_divisor",
     "shift_divisor",
-    "subtract_points",
     "is_gap",
     "semigroup",
 ]
@@ -71,10 +73,6 @@ class Divisor:
     @property
     def degree(self) -> int:
         return self.inf + self.origin - len(self.constraints)
-
-    @property
-    def is_two_point(self) -> bool:
-        return not self.constraints
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if self.constraints or other.constraints:
@@ -103,22 +101,6 @@ def shift_divisor(curve: Curve, divisor: Divisor, k: int) -> Divisor:
     """Add k times the principal divisor m*(P0 - Pinf)."""
     m = curve.shift_order
     return Divisor(divisor.inf - k * m, divisor.origin + k * m, divisor.constraints)
-
-
-def subtract_points(curve: Curve, divisor: Divisor, points) -> Divisor:
-    """Subtract each listed rational point once."""
-    inf, origin = divisor.inf, divisor.origin
-    cons = set(divisor.constraints)
-    for pt in points:
-        if pt is INFINITY:
-            inf -= 1
-        elif pt == curve.origin:
-            origin -= 1
-        else:
-            if pt in cons:
-                raise ValueError(f"point {pt} already subtracted")
-            cons.add(pt)
-    return Divisor(inf, origin, frozenset(cons))
 
 
 class _Context:

@@ -148,13 +148,19 @@ E9, E25 = "1000000000", "10000000000000000000000000"
             _bound_line("hermitian4", f"-999999990*P0 + {E9}*Pinf", "af", 10,
                         {"A": f"-999999990*P0 + {E9}*Pinf", "B": "0", "Z": "0"}),
         ),
+        # every gap lies in 1..2g-1, whatever the limit
+        ("hermitian4", ("semigroup", "--limit", "100000000", "--gaps"), "1\n"),
+        (
+            "suzuki8", ("semigroup", "--limit", E9, "--gaps"),
+            "1 2 3 4 5 6 7 9 11 14 15 17 19 27\n",
+        ),
     ],
     ids=["floor-1e9", "floor-1e25", "bound-1e9", "bound-1e25-suzuki8",
-         "bound-floor-1e9", "bound-mixed-1e9"],
+         "bound-floor-1e9", "bound-mixed-1e9", "gaps-1e8", "gaps-1e9-suzuki8"],
 )
 def test_floor_and_bound_huge_coefficient_is_bounded(name, argv, want):
-    # the floor search and the floor command read l~, so they cost no
-    # basis up to the pole order
+    # the floor search, the floor command and the gap listing read l~, so
+    # they cost no basis up to the pole order
     proc = run_capped(name, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 

@@ -3,6 +3,7 @@ formulas, duality, and exhaustive weight enumeration, itself checked
 against a plain loop over every message on hermitian4 and hermitian9."""
 
 import itertools
+import random
 import tracemalloc
 from math import comb
 
@@ -64,6 +65,24 @@ def test_dimension_formula_hermitian16():
     code = cl_code(h16, Divisor(1, 12))
     assert (code.n, code.k) == (63, 8)
     assert dim(h16, Divisor(1, 12)) == 8  # deg 13 >= 2g - 1
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_dimension_matches_the_constrained_oracle(name):
+    # dimension() reads G - D from its two-point equivalent; here D is
+    # written out point by point and l(G - D) comes from the evaluation
+    # columns of the constrained dim()
+    curve = make_curve(name)
+    g, m, n_all = curve.genus, curve.shift_order, len(curve.affine_points)
+    others = frozenset(p for p in curve.affine_points if p != curve.origin)
+    rng = random.Random(5000 + g)
+    lo, hi = -2 * g - m, n_all + 4 * g
+    cases = [(Divisor(rng.randint(lo, hi), rng.randint(lo, hi)), False) for _ in range(80)]
+    cases += [(Divisor(a, 0), True) for a in range(-3, n_all + 2 * g + 4)]
+    for G, one_point in cases:
+        G_minus_D = Divisor(G.inf, G.origin - one_point, others)  # D holds P0 when one-point
+        want = dim(curve, G) - dim(curve, G_minus_D)
+        assert codes.dimension(curve, G, one_point) == want, (G, one_point)
 
 
 def test_duality(h4):
@@ -131,9 +150,25 @@ def test_soundness_smoke(h4):
     assert report["ok"] and report["checked"] > 0 and not report["violations"]
 
 
-def test_soundness_scan_order_is_irrelevant(h4):
-    import random
+def test_soundness_builds_only_the_codes_it_enumerates(monkeypatch):
+    built = []
+    real = codes.comega_code
 
+    def counted(curve, G, one_point=False):
+        built.append(G)
+        return real(curve, G, one_point)
+
+    monkeypatch.setattr(codes, "comega_code", counted)
+    report = verify_soundness(make_curve("hermitian4"))
+    counts = [report[key] for key in ("checked", "skipped_trivial", "skipped_budget", "ok")]
+    assert counts == [59, 9, 0, True] and len(built) == 59
+    built.clear()
+    report = verify_soundness(make_curve("hermitian9"), deg_range=(1, 8))
+    counts = [report[key] for key in ("checked", "skipped_trivial", "skipped_budget", "ok")]
+    assert counts == [0, 0, 68, False] and built == []
+
+
+def test_soundness_scan_order_is_irrelevant(h4):
     a = verify_soundness(h4, deg_range=(1, 3))
     b = verify_soundness(h4, deg_range=(1, 3), rng=random.Random(99))
     assert (a["checked"], a["ok"]) == (b["checked"], b["ok"])

@@ -23,7 +23,6 @@ from agbounds.rrspace import (
     lt_window,
     semigroup,
     shift_divisor,
-    subtract_points,
 )
 
 GENERATORS = {
@@ -158,20 +157,9 @@ def test_divisor_arithmetic_and_degree():
     assert (Divisor(2, 3) + Divisor(1, 1)) == Divisor(3, 4)
     assert (Divisor(2, 3) - Divisor(1, 1)) == Divisor(1, 2)
     assert Divisor(2, 3).degree == 5
-    assert not Divisor(2, 3, frozenset([(1, 1)])).is_two_point
     assert Divisor(2, 3, frozenset([(1, 1)])).degree == 4
     with pytest.raises(ValueError):
         Divisor(1, 0, frozenset([(1, 1)])) + Divisor(1, 0)
-
-
-def test_subtract_points():
-    sz = make_curve("suzuki8")
-    pts = [p for p in sz.affine_points if p != sz.origin][:3]
-    D = subtract_points(sz, Divisor(5, 5), pts)
-    assert D.degree == 7
-    assert len(D.constraints) == 3
-    with pytest.raises(ValueError):
-        subtract_points(sz, D, pts[:1])  # same point twice
 
 
 def test_floor_known_values():
