@@ -26,7 +26,8 @@ split (_is_floor), so a huge coefficient costs no more than a small one.
 The same shift invariance makes af and kp values equal on every
 representative G + k*m*(P0 - Pinf); the floor decomposition couples G
 to 2H and is genuinely representative-dependent, so floor_bound folds
-over one period of representatives.
+over one period of representatives, which makes its value a class
+function of (deg G, G.origin mod m) as well.
 """
 
 from __future__ import annotations
@@ -323,24 +324,23 @@ def floor_bound(
     )
 
 
-def best_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult:
-    """The strongest of af, kp (both points), floor and designed."""
-    _require_two_point(G, one_point)
-    if one_point:
-        kp_points = [P_INF] if G.origin == 0 else [P_ORIGIN]
-    else:
-        kp_points = [P_INF, P_ORIGIN]
-    candidates = [af_bound(curve, G, one_point)]
-    candidates += [kp_bound(curve, G, p, one_point) for p in kp_points]
-    candidates += [
+def _candidates(curve: Curve, G: Divisor, one_point: bool = False) -> list[BoundResult | None]:
+    """af, kp at each allowed point, the folded floor and designed, in
+    best_bound's tie-break order; None where a bound does not apply."""
+    kp_points = [P_INF if G.origin == 0 else P_ORIGIN] if one_point else [P_INF, P_ORIGIN]
+    return [
+        af_bound(curve, G, one_point),
+        *(kp_bound(curve, G, p, one_point) for p in kp_points),
         floor_bound(curve, G, one_point=one_point),
         designed_distance(curve, G),
     ]
-    best = None
-    for cand in candidates:
-        if cand is not None and (best is None or cand.value > best.value):
-            best = cand
-    return best
+
+
+def best_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult:
+    """The strongest of af, kp (both points), floor and designed; the
+    first maximum, so af wins ties."""
+    rated = [c for c in _candidates(curve, G, one_point) if c is not None]
+    return max(rated, key=lambda c: c.value)
 
 
 def verify_witness(curve: Curve, result: BoundResult) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 
@@ -116,14 +115,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _bounded_int(lo: int, hi: int | None = None):
+    """An argparse type: an integer in lo..hi (no upper end when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {n}")
+        return n
+
+    return parse
 
 
 def render_table(table: dict, fmt: str = "markdown") -> str:
@@ -254,13 +260,11 @@ def _cmd_code(curve: Curve, args) -> int:
 
 
 def _cmd_verify(curve: Curve, args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
     report = verify_soundness(
         curve,
         deg_range=(1, args.max_deg),
         budget=args.budget,
         coeff_window=_parse_range(args.window),
-        rng=rng,
     )
     report["violations"] = [
         {**v, "G": render_divisor(v["G"])} for v in report["violations"]
@@ -297,12 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--curve", required=True, choices=CURVES)
     parser.add_argument(
         "--threads",
-        type=_worker_count,
+        type=_bounded_int(1),
         default=1,
         help="worker processes for table cells",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="scan-order seed for verify"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", required=True, help="Pinf coefficients, lo:hi")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     # also accepted after the subcommand; SUPPRESS keeps the global value
-    p.add_argument("--threads", type=_worker_count, default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=_bounded_int(1), default=argparse.SUPPRESS)
 
     p = sub.add_parser("code", help="generator matrix as CSV")
     p.add_argument("divisor", help=DIVISOR_HELP)
@@ -356,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force soundness sweep")
     p.add_argument("--max-deg", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2**24)
+    # up to q^k = 2^32 codewords the meet-in-the-middle spans stay a few MB
+    p.add_argument("--budget", type=_bounded_int(1, 2**32), default=2**24)
     p.add_argument("--window", default="-8:6", help="coefficient window, lo:hi")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     return parser
 

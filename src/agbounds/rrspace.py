@@ -5,14 +5,17 @@ points, each subtracted with multiplicity one.  dim() computes
 l(D) = dim L(D) by exact linear algebra:
 
     f in L(a*Pinf + b*P0 - sum Q_i)
-        <=>  f = s^(-k) * g  with  k = max(0, ceil(b/m)),
+        <=>  f = s^(-k) * g  with  k = ceil(b/m),
              g in L((a + m*k) * Pinf),
              ord_0(g) >= m*k - b  and  g(Q_i) = 0,
 
 where s is the shift function with divisor m*(P0 - Pinf) (y for
-Hermitian curves, w for the Suzuki curve).  The vanishing conditions are
-rows of power-series coefficients at the origin plus one evaluation
-column per extra point, and l(D) is the dimension of the kernel.
+Hermitian curves, w for the Suzuki curve).  This holds for any integer
+k, as s has no zero or pole off P0 and Pinf; k = ceil(b/m) keeps the
+order m*k - b below m, so the cost follows deg D, not its coefficients.
+The vanishing conditions are rows of power-series coefficients at the
+origin plus one evaluation column per extra point, and l(D) is the
+dimension of the kernel.
 
 No Riemann-Roch formula shortcut is used anywhere in dim(): exactness,
 duality and shift invariance are theorems this module is tested
@@ -157,10 +160,10 @@ def _context(curve: Curve) -> _Context:
 
 
 def _shift_data(curve: Curve, divisor: Divisor) -> tuple[int, int, int]:
-    """(k, N, nzero) for the reduction f = s^(-k) g."""
+    """(k, N, nzero) for the reduction f = s^(-k) g, with 0 <= nzero < m."""
     m = curve.shift_order
     b = divisor.origin
-    k = max(0, -((-b) // m))
+    k = -((-b) // m)
     return k, divisor.inf + m * k, m * k - b
 
 

@@ -2,6 +2,7 @@
 against golden files, code matrices, verify plumbing, and exit codes."""
 
 import json
+import os
 import random
 import resource
 import subprocess
@@ -16,6 +17,7 @@ from agbounds.curve import make_curve
 from agbounds.rrspace import Divisor, dim
 
 TABLES = Path(__file__).parent / "tables"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -76,6 +78,19 @@ def test_ell_command_matches_dim(capsys, name):
             assert rc == 0 and out == f"{dim(curve, D)}\n", D
 
 
+def run_module(*argv, **kwargs):
+    """`python -m agbounds argv...` in a child that imports this checkout's
+    package, whether or not it is installed."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "agbounds", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
 def run_capped(name, *argv):
     """`agbounds --curve name argv...` in a child capped at 512 MB of
     address space and 10 s, so a cost that grows with a coefficient
@@ -84,13 +99,7 @@ def run_capped(name, *argv):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    return subprocess.run(
-        [sys.executable, "-m", "agbounds", "--curve", name, *argv],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=cap,
-    )
+    return run_module("--curve", name, *argv, timeout=10, preexec_fn=cap)
 
 
 @pytest.mark.parametrize(
@@ -355,13 +364,47 @@ def test_code_omega_and_one_point(capsys):
 
 
 def test_verify_ok(capsys):
-    rc, out, _ = run(
-        capsys, "--curve", "hermitian4", "verify", "--max-deg", "4",
-        "--seed", "3",
-    )
+    rc, out, _ = run(capsys, "--curve", "hermitian4", "verify", "--max-deg", "4")
     assert rc == 0
     report = json.loads(out)
     assert report["ok"] and report["checked"] > 0
+
+
+def test_verify_hostile_inputs_are_bounded():
+    # one code per class (degree, P0 coefficient mod m): 11,999 divisors, 6 classes
+    proc = run_capped("hermitian4", "verify", "--window=-3000:3000", "--max-deg", "2")
+    want = {
+        "curve": "hermitian4", "checked": 11999, "skipped_trivial": 0,
+        "skipped_budget": 0, "violations": [], "ok": True,
+    }
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, json.dumps(want) + "\n", "")
+    # --budget is capped at 2^32 codewords
+    proc = run_capped(
+        "hermitian9", "verify", "--max-deg", "8", "--budget", str(10**30)
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--budget: must be at most 4294967296" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_code_mixed_huge_coefficients_is_bounded():
+    # degree 10 >= n + 2g - 1, so C_L is the whole space; the basis is
+    # reduced by s^k with k = ceil(b/m) < 0, which keeps its pole order near 10
+    proc = run_capped("hermitian4", "code", "--", "1000000000*Pinf - 999999990*P0")
+    header = [
+        "# curve: hermitian4", "# kind: CL",
+        "# divisor: -999999990*P0 + 1000000000*Pinf", "# n: 7", "# k: 7",
+        "# points: 0:1 1:2 1:3 2:2 2:3 3:2 3:3",
+    ]
+    rows = [",".join("1" if i == j else "0" for j in range(7)) for i in range(7)]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\n".join(header + rows) + "\n"
+
+
+def test_seed_is_not_an_option(capsys):
+    # verify works per shift class, so there is no scan order to seed
+    rc, out, err = run(capsys, "--curve", "hermitian4", "verify", "--seed", "3")
+    assert rc == 2 and out == "" and "unrecognized arguments: --seed 3" in err
 
 
 def test_verify_nothing_checked_exits_3(capsys):
@@ -379,7 +422,7 @@ def test_verify_nothing_checked_exits_3(capsys):
 def test_verify_failure_exits_3(capsys, monkeypatch):
     import agbounds.cli as cli
 
-    def fake(curve, deg_range, budget, coeff_window, rng):
+    def fake(curve, deg_range, budget, coeff_window):
         return {"ok": False, "violations": [{"G": Divisor(1, 1), "d_true": 0}]}
 
     monkeypatch.setattr(cli, "verify_soundness", fake)
@@ -392,11 +435,6 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 
 def test_module_invocation_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "agbounds", "--curve", "suzuki8", "ell", "41*Pinf"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_module("--curve", "suzuki8", "ell", "41*Pinf", timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "28"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from agbounds import codes
+from agbounds.bounds import af_bound, designed_distance, floor_bound, kp_bound
 from agbounds.codes import (
     cl_code,
     comega_code,
@@ -161,17 +162,105 @@ def test_soundness_builds_only_the_codes_it_enumerates(monkeypatch):
     monkeypatch.setattr(codes, "comega_code", counted)
     report = verify_soundness(make_curve("hermitian4"))
     counts = [report[key] for key in ("checked", "skipped_trivial", "skipped_budget", "ok")]
-    assert counts == [59, 9, 0, True] and len(built) == 59
+    # one code per enumerable shift class, not one per divisor
+    assert counts == [59, 9, 0, True] and len(built) == 19
+    assert len({(G.degree, G.origin % 3) for G in built}) == 19
     built.clear()
     report = verify_soundness(make_curve("hermitian9"), deg_range=(1, 8))
     counts = [report[key] for key in ("checked", "skipped_trivial", "skipped_budget", "ok")]
     assert counts == [0, 0, 68, False] and built == []
 
 
-def test_soundness_scan_order_is_irrelevant(h4):
-    a = verify_soundness(h4, deg_range=(1, 3))
-    b = verify_soundness(h4, deg_range=(1, 3), rng=random.Random(99))
-    assert (a["checked"], a["ok"]) == (b["checked"], b["ok"])
+def per_divisor_sweep(curve, deg_range=(1, 8), budget=2**24, coeff_window=(-8, 6)):
+    """verify_soundness as one build and one rating per divisor: every
+    two-point G in the window, in (Pinf, P0) coefficient order."""
+    lo, hi = coeff_window
+    n, q = len(evaluation_points(curve)), len(curve.field)
+    checked = skipped_trivial = skipped_budget = 0
+    violations = []
+    for a in range(lo, hi + 1):
+        for b in range(lo, hi + 1):
+            G = Divisor(a, b)
+            if not deg_range[0] <= G.degree <= deg_range[1]:
+                continue
+            k = n - codes.dimension(curve, G)
+            if k == 0:
+                skipped_trivial += 1
+                continue
+            if q**k > budget:
+                skipped_budget += 1
+                continue
+            d_true = codes.min_distance_exhaustive(comega_code(curve, G), budget)
+            af = af_bound(curve, G).value
+            others = {"designed": designed_distance(curve, G).value, "floor": None}
+            others["kp_Pinf"] = others["kp_P0"] = None
+            fl = floor_bound(curve, G)
+            if fl is not None:
+                others["floor"] = fl.value
+            for point, tag in (("Pinf", "kp_Pinf"), ("P0", "kp_P0")):
+                kp = kp_bound(curve, G, point)
+                if kp is not None:
+                    others[tag] = kp.value
+            checked += 1
+            if d_true < af or any(v > af for v in others.values() if v is not None):
+                violations.append({"G": G, "d_true": d_true, "af": af, **others})
+    return {
+        "curve": curve.name,
+        "checked": checked,
+        "skipped_trivial": skipped_trivial,
+        "skipped_budget": skipped_budget,
+        "violations": violations,
+        "ok": checked > 0 and not violations,
+    }
+
+
+SWEEPS = [
+    {},
+    {"coeff_window": (-20, 20), "deg_range": (-3, 12)},
+    {"budget": 4**4},
+    {"coeff_window": (5, -5)},
+]
+
+
+@pytest.mark.parametrize("kw", SWEEPS, ids=["default", "wide", "budget", "reversed"])
+def test_soundness_by_class_matches_the_per_divisor_sweep(h4, kw):
+    report = verify_soundness(h4, **kw)
+    assert report == per_divisor_sweep(h4, **kw)
+    assert list(report) == list(per_divisor_sweep(h4, **kw))  # key order, as printed
+
+
+def test_planted_violation_lists_every_member_in_window_order(h4, monkeypatch):
+    # d_true = 1 is below af on every class of degree >= 2, so each
+    # checked divisor is a violation, listed once per member of its class
+    monkeypatch.setattr(codes, "min_distance_exhaustive", lambda code, budget=0: 1)
+    kw = {"deg_range": (2, 6), "coeff_window": (-5, 5)}
+    report = verify_soundness(h4, **kw)
+    assert report == per_divisor_sweep(h4, **kw)
+    assert report["checked"] == len(report["violations"]) > 0 and not report["ok"]
+    members = [v["G"] for v in report["violations"]]
+    assert members == sorted(members, key=lambda G: (G.inf, G.origin))
+    assert len({(G.degree, G.origin % 3) for G in members}) < len(members)
+    keys = ["G", "d_true", "af", "designed", "floor", "kp_Pinf", "kp_P0"]
+    assert all(list(v) == keys for v in report["violations"])
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_bounds_are_functions_of_the_shift_class(name):
+    # verify_soundness rates one member per class (deg G, G.origin mod m)
+    curve = make_curve(name)
+    g = curve.genus
+    rng = random.Random(2000 + g)
+
+    def values(G):
+        rated = [af_bound(curve, G), floor_bound(curve, G), designed_distance(curve, G)]
+        rated += [kp_bound(curve, G, point) for point in ("Pinf", "P0")]
+        return [None if r is None else r.value for r in rated]
+
+    for _ in range(16):
+        G = Divisor(rng.randint(-g, 4 * g), rng.randint(-g, 4 * g))
+        want = values(G)
+        for j in (-3, -1, 1, 2, 5):
+            assert values(shift_divisor(curve, G, j)) == want, (G, j)
 
 
 def test_soundness_empty_sweep_is_not_ok(h4):
