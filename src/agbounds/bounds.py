@@ -28,6 +28,9 @@ representative G + k*m*(P0 - Pinf); the floor decomposition couples G
 to 2H and is genuinely representative-dependent, so floor_bound folds
 over one period of representatives, which makes its value a class
 function of (deg G, G.origin mod m) as well.
+
+verify_witness re-checks every certificate, af_bound's own included, as
+an af witness in raw dim(): _as_af maps kp and floor witnesses to af ones.
 """
 
 from __future__ import annotations
@@ -263,11 +266,11 @@ def af_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult:
     if zeta == 0:
         witness = {"A": G, "B": Divisor(0, 0), "Z": Divisor(0, 0)}
         return BoundResult("af", designed, designed, curve.name, G, witness=witness)
-    B = G - A
-    if dim(curve, A) != dim(curve, A - Z) or dim(curve, B) != dim(curve, B + Z):
+    witness = {"A": A, "B": G - A, "Z": Z}
+    result = BoundResult("af", designed + zeta, designed, curve.name, G, witness=witness)
+    if not verify_witness(curve, result):
         raise RuntimeError("internal error: reduced af witness failed re-verification")
-    witness = {"A": A, "B": B, "Z": Z}
-    return BoundResult("af", designed + zeta, designed, curve.name, G, witness=witness)
+    return result
 
 
 def kp_bound(
@@ -343,53 +346,52 @@ def best_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult
     return max(rated, key=lambda c: c.value)
 
 
+def _as_af(result: BoundResult) -> tuple[Divisor, Divisor]:
+    """The af witness (A, Z), B = G' - A, of a certificate on representative G'.
+
+    kp at P: A = F + (alpha + t)*P, Z = (t + 1)*P, so A - Z = F + (alpha - 1)*P
+    and B + Z = G - F + (1 - alpha)*P; l grows by at most one per step, so
+    the af equalities hold exactly when kp's two gap runs do.  Floor: A = H,
+    Z = E, so B = H - E and both equalities read l(H) = l(H - E).
+    """
+    w = result.witness or {}
+    if result.method == "af":
+        return w["A"], w["Z"]
+    if result.method == "floor":
+        return w["H"], w["E"]
+    if result.method in ("kp_Pinf", "kp_P0"):
+        at_inf, at_origin = (1, 0) if result.method == "kp_Pinf" else (0, 1)
+        top, run = w["alpha"] + w["t"], w["t"] + 1
+        A = w["F"] + Divisor(top * at_inf, top * at_origin)
+        return A, Divisor(run * at_inf, run * at_origin)
+    raise ValueError(f"unknown bound method {result.method!r}")
+
+
 def verify_witness(curve: Curve, result: BoundResult) -> bool:
-    """Re-check a BoundResult's certificate with raw dimension computations."""
+    """Re-check a BoundResult's certificate with raw dimension computations:
+    the af check on _as_af's witness, plus af's stated B, the floor's
+    G' = H + floor(H) (minimality included) and kp's t >= 0."""
     G = shift_divisor(curve, result.divisor, result.representative_shift)
     designed = _designed_value(curve, G)
-    w = result.witness or {}
     if result.method == "designed":
         return result.value == designed
+    A, Z = _as_af(result)
+    B = G - A
+    w = result.witness
     if result.method == "af":
-        A, Z = w["A"], w["Z"]
-        B = G - A
-        return (
-            Z.inf >= 0
-            and Z.origin >= 0
-            and B == w["B"]
-            and dim(curve, A) == dim(curve, A - Z)
-            and dim(curve, B) == dim(curve, B + Z)
-            and result.value == designed + Z.degree
-        )
-    if result.method == "floor":
-        H, E = w["H"], w["E"]
-        return (
-            H - E == G - H
-            and _is_floor(partial(dim, curve), H, E)
-            and result.value == designed + E.degree
-        )
-    if result.method in ("kp_Pinf", "kp_P0"):
-        F, alpha, t = w["F"], w["alpha"], w["t"]
-        at_inf = result.method == "kp_Pinf"
-
-        def step(base: Divisor, j: int) -> Divisor:
-            return Divisor(base.inf + j, base.origin) if at_inf else Divisor(
-                base.inf, base.origin + j
-            )
-
-        def gap_run(base: Divisor, lo: int, hi: int) -> bool:
-            return all(
-                dim(curve, step(base, j)) == dim(curve, step(base, j - 1))
-                for j in range(lo, hi + 1)
-            )
-
-        return (
-            t >= 0
-            and gap_run(F, alpha, alpha + t)
-            and gap_run(G - F, 1 - alpha - t, 1 - alpha)
-            and result.value == designed + t + 1
-        )
-    raise ValueError(f"unknown bound method {result.method!r}")
+        own = B == w["B"]
+    elif result.method == "floor":  # A = H, Z = E
+        own = A - Z == B and _is_floor(partial(dim, curve), A, Z)
+    else:
+        own = w["t"] >= 0
+    return (
+        own
+        and Z.inf >= 0
+        and Z.origin >= 0
+        and dim(curve, A) == dim(curve, A - Z)
+        and dim(curve, B) == dim(curve, B + Z)
+        and result.value == designed + Z.degree
+    )
 
 
 # -- improvement tables -----------------------------------------------------

@@ -202,9 +202,14 @@ def _cmd_floor(curve: Curve, args) -> int:
     return 0
 
 
+_SEMIGROUP_CAP = 10**5  # every n >= 2g is a non-gap, and 2g <= 28
+
+
 def _cmd_semigroup(curve: Curve, args) -> int:
     if args.gaps:  # every gap lies in 1..2g-1
         vals = [n for n in range(min(args.limit, 2 * curve.genus - 1) + 1) if is_gap(curve, n)]
+    elif args.limit > _SEMIGROUP_CAP:
+        raise ValueError(f"--limit must be at most {_SEMIGROUP_CAP} without --gaps")
     else:
         vals = semigroup(curve, args.limit)
     print(" ".join(str(v) for v in vals))

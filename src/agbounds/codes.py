@@ -73,6 +73,9 @@ def dimension(curve: Curve, G: Divisor, one_point: bool = False) -> int:
     simple zero at every affine point and its only pole, of order n_all,
     at Pinf, so D ~ n_all*Pinf - P0 (two-point D leaves out the origin)
     or D ~ n_all*Pinf (one-point D keeps it)."""
+    n = len(evaluation_points(curve, one_point))
+    if G.degree - n >= 2 * curve.genus - 1:  # G and G - D are non-special
+        return n
     n_all = len(curve.affine_points)
     return dim(curve, G) - dim(curve, Divisor(G.inf - n_all, G.origin + (not one_point)))
 
@@ -81,6 +84,9 @@ def cl_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
     """Evaluation code: rows are a basis of L(G) evaluated on D."""
     _require_code_divisor(curve, G, one_point)
     pts = evaluation_points(curve, one_point)
+    k_L = dimension(curve, G, one_point)
+    if k_L == len(pts):  # C_L is the whole space: the identity is its reduced generator
+        return Code(curve.name, G, "CL", pts, np.eye(k_L, dtype=np.uint8))
     coeffs, k = function_basis(curve, G)
     field, ctx = curve.field, _context(curve)
     values = np.array([ctx.value_col(p)[: coeffs.shape[1]] for p in pts], dtype=np.uint8)
@@ -91,7 +97,7 @@ def cl_code(curve: Curve, G: Divisor, one_point: bool = False) -> Code:
     scale = [field.pow(curve.gen_values(p)[curve.shift_index], -k) for p in pts]
     mat = field.MUL[mat, np.array(scale, dtype=np.uint8)]
     rank, _ = _row_reduce(field, mat, full=True)
-    if rank != dimension(curve, G, one_point):
+    if rank != k_L:
         raise RuntimeError("internal error: evaluation rank disagrees with l(G) - l(G-D)")
     return Code(curve.name, G, "CL", pts, mat[:rank].copy())
 

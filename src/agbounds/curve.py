@@ -192,14 +192,11 @@ class Curve:
         """Series of prod(gen_i^pattern_i) over the non-x generators."""
         self.series(W)
         got = self._combo_cache.get(pattern)
-        if got is None or len(got) < W:
-            W = self._series_W
-            arr = _x_power(W, 0)
+        if got is None:  # series() emptied the cache if the width grew
+            got = _x_power(self._series_W, 0)
             for name, e in zip(self.gens[1:], pattern):
-                g = self._gen_series[name]
                 for _ in range(e):
-                    arr = _conv(self.field, arr, g)
-            got = arr
+                    got = _conv(self.field, got, self._gen_series[name])
             self._combo_cache[pattern] = got
         return got
 

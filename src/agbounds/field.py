@@ -22,7 +22,6 @@ __all__ = [
     "FieldSpec",
     "Field",
     "make_field",
-    "GF",
     "rank_of",
     "nullspace_of",
 ]
@@ -185,9 +184,6 @@ def make_field(order: int) -> Field:
     p = _CHARACTERISTIC[order]
     mod = _FIXED_MODULI[order]
     return Field(FieldSpec(p, len(mod) - 1, mod))
-
-
-GF = make_field
 
 
 # -- dense linear algebra over a Field ------------------------------------

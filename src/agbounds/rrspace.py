@@ -111,7 +111,6 @@ class _Context:
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        self.field = curve.field
         self.W = 0
         self.maxpole = -1
         self.registry: list[Monomial] = []
@@ -159,30 +158,36 @@ def _context(curve: Curve) -> _Context:
     return ctx
 
 
-def _shift_data(curve: Curve, divisor: Divisor) -> tuple[int, int, int]:
-    """(k, N, nzero) for the reduction f = s^(-k) g, with 0 <= nzero < m."""
-    m = curve.shift_order
-    b = divisor.origin
-    k = -((-b) // m)
-    return k, divisor.inf + m * k, m * k - b
-
-
-def _constraint_matrix(ctx: _Context, divisor: Divisor, nb: int, nzero: int):
-    pts = sorted(divisor.constraints)
-    cols = nzero + len(pts)
-    mat = np.zeros((nb, cols), dtype=np.uint8)
-    mat[:, :nzero] = ctx.COEFF[:nb, :nzero]
-    for j, pt in enumerate(pts):
-        mat[:, nzero + j] = ctx.value_col(pt)[:nb]
-    return mat
-
-
 def _validate(curve: Curve, divisor: Divisor) -> None:
     for pt in divisor.constraints:
         if pt is INFINITY or pt == curve.origin:
             raise ValueError("constraints must be affine points other than the origin")
         if pt not in curve._value_cache and pt not in curve.affine_points:
             raise ValueError(f"{pt} is not a rational point of {curve.name}")
+
+
+def _conditions(curve: Curve, divisor: Divisor) -> tuple[int, int, np.ndarray | None]:
+    """(k, nb, mat) for the reduction f = s^(-k) g, k = ceil(b/m): g ranges
+    over the first nb registry monomials, and the kernel of mat (one column
+    per vanishing condition on g) is L(divisor); mat is None when no
+    condition applies."""
+    _validate(curve, divisor)
+    m = curve.shift_order
+    k = -((-divisor.origin) // m)
+    N, nzero = divisor.inf + m * k, m * k - divisor.origin  # 0 <= nzero < m
+    if N < 0:
+        return k, 0, None
+    ctx = _context(curve)
+    ctx.ensure(N, nzero)
+    nb = bisect.bisect_right(ctx.poles, N)
+    if nb == 0 or (nzero == 0 and not divisor.constraints):
+        return k, nb, None
+    pts = sorted(divisor.constraints)
+    mat = np.zeros((nb, nzero + len(pts)), dtype=np.uint8)
+    mat[:, :nzero] = ctx.COEFF[:nb, :nzero]
+    for j, pt in enumerate(pts):
+        mat[:, nzero + j] = ctx.value_col(pt)[:nb]
+    return k, nb, mat
 
 
 def dim(curve: Curve, divisor: Divisor) -> int:
@@ -192,20 +197,8 @@ def dim(curve: Curve, divisor: Divisor) -> int:
     got = ctx.dim_memo.get(key)
     if got is not None:
         return got
-    _validate(curve, divisor)
-    k, N, nzero = _shift_data(curve, divisor)
-    if N < 0:
-        ell = 0
-    else:
-        ctx.ensure(N, nzero)
-        nb = bisect.bisect_right(ctx.poles, N)
-        if nb == 0:
-            ell = 0
-        elif nzero == 0 and not divisor.constraints:
-            ell = nb
-        else:
-            mat = _constraint_matrix(ctx, divisor, nb, nzero)
-            ell = nb - rank_of(ctx.field, mat)
+    _, nb, mat = _conditions(curve, divisor)
+    ell = nb if mat is None else nb - rank_of(curve.field, mat)
     ctx.dim_memo[key] = ell
     return ell
 
@@ -239,17 +232,10 @@ def function_basis(curve: Curve, divisor: Divisor) -> tuple[np.ndarray, int]:
     """A basis of L(divisor) as (C, k): row i is s^(-k) * sum_j C[i, j] * mono_j
     over the first C.shape[1] registry monomials, those of pole order at most
     divisor.inf + m*k; C has dim(curve, divisor) rows."""
-    ctx = _context(curve)
-    _validate(curve, divisor)
-    k, N, nzero = _shift_data(curve, divisor)
-    nb = 0
-    if N >= 0:
-        ctx.ensure(N, nzero)
-        nb = bisect.bisect_right(ctx.poles, N)
-    if nb == 0 or (nzero == 0 and not divisor.constraints):
+    k, nb, mat = _conditions(curve, divisor)
+    if mat is None:
         return np.eye(nb, dtype=np.uint8), k
-    mat = _constraint_matrix(ctx, divisor, nb, nzero)
-    return np.array(nullspace_of(ctx.field, mat.T.copy()), dtype=np.uint8).reshape(-1, nb), k
+    return np.array(nullspace_of(curve.field, mat.T.copy()), dtype=np.uint8).reshape(-1, nb), k
 
 
 def floor_divisor(curve: Curve, divisor: Divisor) -> Divisor:

@@ -192,6 +192,55 @@ def test_witness_tampering_is_caught(sz):
     assert not verify_witness(sz, replace(kp, witness={**kp.witness, "t": kp.witness["t"] + 1}))
 
 
+@pytest.mark.parametrize(
+    "G, point",
+    [
+        (Divisor(41, 0), P_INF),
+        (Divisor(17, 15), P_INF),
+        (Divisor(17, 15), P_ORIGIN),
+        (Divisor(1, 32), P_ORIGIN),
+    ],
+)
+def test_kp_witness_tampering_is_caught(sz, G, point):
+    kp = kp_bound(sz, G, point)
+    assert verify_witness(sz, kp)
+    w = kp.witness
+    P = Divisor(1, 0) if point == P_INF else Divisor(0, 1)
+    for key, val in (
+        ("alpha", w["alpha"] - 1),
+        ("alpha", w["alpha"] + 1),
+        ("F", w["F"] + P),
+        ("t", w["t"] - 1),
+    ):
+        assert not verify_witness(sz, replace(kp, witness={**w, key: val})), (key, val)
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_kp_and_floor_witnesses_map_to_af_witnesses(name):
+    # the paper's theorem, instance by instance: on every shift class of
+    # degree -2..max(6g-4, 4g) and both one-point axes, each kp and floor
+    # witness maps to an af witness of the same improvement, re-checked
+    # here in raw dim() rather than through verify_witness
+    curve = make_curve(name)
+    g, m = curve.genus, curve.shift_order
+    for d in range(-2, max(6 * g - 4, 4 * g) + 1):
+        cases = [(Divisor(d - r, r), False) for r in range(m)]
+        cases += [(Divisor(d, 0), True), (Divisor(0, d), True)]
+        for G, one_point in cases:
+            points = [P_INF if G.origin == 0 else P_ORIGIN] if one_point else [P_INF, P_ORIGIN]
+            results = [kp_bound(curve, G, p, one_point) for p in points]
+            results += [floor_bound(curve, G, fold, one_point) for fold in (True, False)]
+            af = af_bound(curve, G, one_point)
+            for res in filter(None, results):
+                A, Z = bounds._as_af(res)
+                B = shift_divisor(curve, G, res.representative_shift) - A
+                where = f"{res.method} at {G} (one_point={one_point}): A={A}, Z={Z}"
+                assert Z.inf >= 0 and Z.origin >= 0, where
+                assert dim(curve, A) == dim(curve, A - Z), where
+                assert dim(curve, B) == dim(curve, B + Z), where
+                assert Z.degree == res.improvement and res.value <= af.value, where
+
+
 def test_determinism(sz):
     a = af_bound(sz, Divisor(17, 15))
     b = af_bound(sz, Divisor(17, 15))

@@ -215,6 +215,17 @@ def test_bound_floor_not_applicable(capsys):
     assert obj["value"] is None and obj["note"] == "not applicable"
 
 
+def test_bound_floor_folds_over_shift_representatives(capsys):
+    # 13*P0 + 1*Pinf is not H + floor(H), but its shift by 5*(P0 - Pinf) is
+    argv = ("--curve", "hermitian16", "bound", "--method", "floor", "13*P0 + 1*Pinf")
+    rc, out, _ = run(capsys, *argv)
+    obj = json.loads(out)
+    assert rc == 0 and obj["value"] == 4 and obj["representative_shift"] == 1
+    rc, out, _ = run(capsys, *argv, "--no-fold")
+    obj = json.loads(out)
+    assert rc == 0 and obj["value"] is None and obj["note"] == "not applicable"
+
+
 def test_bound_degree_gate(capsys):
     rc, _, err = run(capsys, "--curve", "suzuki8", "bound", "1*P0")
     assert rc == 2 and "--all" in err
@@ -399,6 +410,45 @@ def test_code_mixed_huge_coefficients_is_bounded():
     rows = [",".join("1" if i == j else "0" for j in range(7)) for i in range(7)]
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "\n".join(header + rows) + "\n"
+
+
+H4_POINTS = "0:1 1:2 1:3 2:2 2:3 3:2 3:3"  # one-point codes add the origin 0:0
+
+
+def _code_output(kind, divisor, k, points=H4_POINTS):
+    n = len(points.split())
+    rows = [",".join("1" if i == j else "0" for j in range(n)) for i in range(k)]
+    header = [
+        "# curve: hermitian4", f"# kind: {kind}", f"# divisor: {divisor}", f"# n: {n}",
+        f"# k: {k}", f"# points: {points}",
+    ]
+    return "\n".join(header + rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # deg G - n >= 2g - 1: G and G - D are non-special, so C_L is the
+        # whole space (the identity) and C_Omega is zero, with no basis of L(G)
+        (("code", f"{E9}*Pinf"), _code_output("CL", f"{E9}*Pinf", 7)),
+        (("code", "--omega", "100000*Pinf"), _code_output("COmega", "100000*Pinf", 0)),
+        (
+            ("code", "--one-point", f"{E9}*Pinf"),
+            _code_output("CL", f"{E9}*Pinf", 8, "0:0 " + H4_POINTS),
+        ),
+    ],
+    ids=["cl-1e9", "comega-1e5", "cl-one-point-1e9"],
+)
+def test_code_huge_degree_is_bounded(argv, want):
+    proc = run_capped("hermitian4", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def test_semigroup_listing_is_capped():
+    proc = run_capped("hermitian4", "semigroup", "--limit", "100000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--limit must be at most 100000 without --gaps" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_seed_is_not_an_option(capsys):
