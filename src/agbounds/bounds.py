@@ -9,21 +9,27 @@ All bounds share the shape  d >= deg(G) - (2g - 2) + extra:
 * af:        G = A + B and Z >= 0 with L(A) = L(A - Z) and
              L(B) = L(B + Z); extra = deg(Z).
 
-Because l(a*Pinf + b*P0) only depends on (a + b, b mod m) - multiplying
-by the shift function moves poles between the two points - the af and
-kp searches run over reduced coordinates (degree, residue class), which
-keeps them complete over small windows:
+kp at a point P is af with Z = zeta*P: the witness (F, alpha, t) is
+A = F + (alpha + t)*P, Z = (t + 1)*P, since l grows by at most one per
+step.  So one search serves both: af_search, with Z free or pinned at P.
 
-* af: any nontrivial witness has deg(B) <= 2g-2 and deg(A-Z) <= 2g-2
-  (otherwise both sides of an equality would be Riemann-Roch exact and
-  differ), so deg(A) lives in a band of width about 4g and deg(Z) <= 2g.
-* kp: gap runs end at degree 2g (exactness forces a jump), so the run
-  start in degree terms lives in [deg(G) + 2 - 2g, 2g - 1].
+Because l(a*Pinf + b*P0) only depends on (a + b, b mod m) - multiplying
+by the shift function moves poles between the two points - that search
+runs over reduced coordinates (degree, residue class), and Riemann-Roch
+bounds it to a band.  A divisor of degree >= 2g-1 is non-special, so one
+more point adds one to l, and every witness with zeta = deg(Z) >= 1 has
+
+* deg(A - Z) <= 2g-2 and deg(B) <= 2g-2, or the equalities would fail;
+* deg(A) <= 2g-1 and deg(B + Z) <= 2g-1, as l(A - P) = l(A) and
+  l(B + Z - P) = l(B + Z) for any P in the support of Z.
+
+So deg(A) lies in [deg(G) + 1 - 2g + zeta, 2g - 1], zeta <= 4g-2-deg(G),
+and the search reads l~ only on degrees deg(G) + 1 - 2g .. 2g - 1.
 
 The floor search reads the same table, four entries per candidate
 split (_is_floor), so a huge coefficient costs no more than a small one.
 
-The same shift invariance makes af and kp values equal on every
+The shift invariance also makes af and kp values equal on every
 representative G + k*m*(P0 - Pinf); the floor decomposition couples G
 to 2H and is genuinely representative-dependent, so floor_bound folds
 over one period of representatives, which makes its value a class
@@ -85,40 +91,44 @@ def _representatives(m: int) -> list[int]:
     return ks
 
 
-# -- asymmetric floor ------------------------------------------------------
+# -- asymmetric floor, and kp as af with Z at one point ---------------------
+
+
+def _support(G: Divisor) -> str:
+    """The point that carries a one-point G (Pinf for G = 0)."""
+    return P_INF if G.origin == 0 else P_ORIGIN
 
 
 def af_search(
-    curve: Curve, G: Divisor, one_point: bool = False
+    curve: Curve, G: Divisor, pin: str | None = None, classes: int = 1
 ) -> tuple[int, Divisor | None, Divisor | None]:
-    """Max deg(Z) over valid (A, Z); returns (zeta, A, Z).
+    """Max deg(Z) over af witnesses (A, Z) of G; returns (zeta, A, Z), or
+    (0, None, None) when no witness has zeta >= 1.
 
-    With one_point=True both A and Z are restricted to the support
-    of G (the evaluation divisor absorbs the other point).
+    pin=None searches every two-point A and Z.  pin=P puts Z at P and
+    A = F + e*P, F in the first `classes` kp classes: F = c*P0 at Pinf,
+    ((-c) mod m)*Pinf at P0.  Class 0 is F = 0, all that a one-point code
+    (A and Z at the support of G) uses.
     """
     g = curve.genus
     dG = G.degree
-    # 4g-2-dG matches the longest possible kp gap run, so every kp
-    # witness stays inside this search space (af >= kp).
-    zmax = max(2 * g, 4 * g - 2 - dG)
-    dA_lo = dG - (2 * g - 2)
-    if zmax < 1 or dA_lo > 2 * g - 2 + zmax:
+    zmax = 4 * g - 2 - dG  # above it the band of deg(A) is empty
+    if zmax < 1:
         return 0, None, None
-    LT, off = lt_window(curve, dG - 2 * g + 2 - zmax, 2 * g - 2 + zmax)  # covers every probe
-    # A probe at zeta takes deg(A) in [dA_lo, 2g-2+zeta], which is empty
-    # below zeta = dA_lo - (2g-2).  From there up to zmax the feasible
-    # zeta are closed downward, so bisect.  Take a witness (A, Z) at
-    # zeta and a point P in the support of Z.  Then (A - P, Z - P) is
-    # one at zeta - 1:
+    LT, off = lt_window(curve, dG + 1 - 2 * g, 2 * g - 1)
+    # The feasible zeta are closed downward, so double from 1, then bisect:
+    # the optimum is usually a few units, far below zmax.  Take a witness
+    # (A, Z) at zeta and a point P in the support of Z.  Then (A - P, Z - P)
+    # is one at zeta - 1:
     #   L(A - Z) <= L(A - P) <= L(A)  and  L(B) <= L(B + P) <= L(B + Z),
-    # and the outer spaces are equal, so the inner one is too.  When
-    # A - P would drop below the band, (A, Z - P) works the same way.
-    # Both moves keep A and Z on the support of G in the one-point case.
-    ok, bad = max(1, dA_lo - (2 * g - 2)) - 1, zmax + 1
+    # and the outer spaces are equal, so the inner one is too; deg(A - P)
+    # stays in the band at zeta - 1.  Z - P stays at P when Z is pinned
+    # there, and A - P = F + (e - 1)*P keeps the class of F.
+    ok, bad = 0, zmax + 1
     best = (0, None, None)
     while bad - ok > 1:
-        zeta = (ok + bad) // 2
-        hit = _af_probe(curve, G, zeta, one_point, LT, off)
+        zeta = min(2 * ok + 1, (ok + bad) // 2)
+        hit = _af_probe(curve, G, zeta, pin, classes, LT, off)
         if hit is None:
             bad = zeta
         else:
@@ -127,25 +137,27 @@ def af_search(
 
 
 def _af_probe(
-    curve: Curve, G: Divisor, zeta: int, one_point: bool, LT: np.ndarray, off: int
+    curve: Curve, G: Divisor, zeta: int, pin: str | None, classes: int,
+    LT: np.ndarray, off: int,
 ) -> tuple[Divisor, Divisor] | None:
-    """First valid (A, Z) with deg(Z) = zeta and deg(A) in the band, or None.
+    """First af witness (A, Z) with deg(Z) = zeta and deg(A) in the band,
+    or None.
 
     Every candidate is tested in one comparison over af_search's l~ window
-    LT, off; the first is the one with the least Z.origin, then the least
-    deg(A), then the least A.origin.
+    LT, off.  Two-point, the first is the one with the least Z.origin, then
+    the least deg(A), then the least A.origin; with Z pinned, it is kp's
+    order: the least class, then the least deg(A).
     """
     g, m = curve.genus, curve.shift_order
     dG = G.degree
     gamma2 = G.origin % m
-    # axes (z2, dA, rho): A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
-    dA = np.arange(dG - (2 * g - 2), 2 * g - 2 + zeta + 1)[None, :, None]
-    if not one_point:
-        rho, z2 = np.arange(m)[None, None, :], np.arange(zeta + 1)[:, None, None]
-    elif G.inf == 0 and G.origin != 0:
-        rho, z2 = dA, zeta  # A and Z at P0
-    else:
-        rho, z2 = 0, 0  # A and Z at Pinf
+    # A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
+    dA = np.arange(dG + 1 - 2 * g + zeta, 2 * g)
+    if pin is None:  # axes (z2, dA, rho)
+        z2, dA, rho = np.arange(zeta + 1)[:, None, None], dA[None, :, None], np.arange(m)
+    else:  # axes (class, dA)
+        c = np.arange(classes)[:, None]
+        z2, rho = (0, c) if pin == P_INF else (zeta, dA - (-c) % m)
     feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
         LT[dG - dA - off, (gamma2 - rho) % m]
         == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
@@ -155,48 +167,6 @@ def _af_probe(
         return None
     d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
     return Divisor(d - r, r), Divisor(zeta - k, k)
-
-
-# -- consecutive-gap (kp) ----------------------------------------------------
-
-
-def kp_search(curve: Curve, G: Divisor, point: str, one_point: bool = False):
-    """Best (t+1, class, e1) for consecutive-gap runs at `point`."""
-    g, m = curve.genus, curve.shift_order
-    dG = G.degree
-    e1_lo, e1_hi = dG + 2 - 2 * g, 2 * g - 1
-    if e1_lo > e1_hi:
-        return None
-    # A run truncated at the array bottom counts at least pad+1 entries,
-    # strictly more than any forward run, so min() never sees it.
-    pad = (e1_hi - e1_lo) + 2
-    e_min, e_max = e1_lo - pad, 2 * g
-    LT, off = lt_window(curve, e_min - 1, e_max)
-    gamma2 = G.origin % m
-    e, cls = np.arange(e_min, e_max + 1), np.arange(m)[:, None]
-    cur, prv = (cls, cls) if point == P_INF else ((cls + e) % m, (cls + e - 1) % m)
-    fwd, bwd = _gap_runs(LT[e - off, cur] == LT[e - 1 - off, prv])  # (class, e)
-    # class 0 realizes as F with support only at `point` (F = 0 works)
-    classes = np.arange(1 if one_point else m)[:, None]
-    mate = (gamma2 - classes) % m if point == P_INF else (gamma2 - dG - classes) % m
-    e1 = np.arange(e1_lo, e1_hi + 1)
-    run = np.minimum(fwd[classes, e1 - e_min], bwd[mate, dG + 1 - e1 - e_min])
-    # the first maximum in (class, e1) order, as a strict-> scan would pick
-    first = int(run.argmax())
-    if run.flat[first] < 1:
-        return None
-    c, i = divmod(first, len(e1))
-    return int(run.flat[first]), c, e1_lo + i
-
-
-def _gap_runs(gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of `gap`, the lengths of the True runs that start (fwd) and
-    end (bwd) at each column: the distance to the nearest False after,
-    resp. before, found by one running min, resp. max, over the row."""
-    i = np.arange(gap.shape[1])
-    after = np.minimum.accumulate(np.where(gap, len(i), i)[:, ::-1], axis=1)[:, ::-1]
-    before = np.maximum.accumulate(np.where(gap, -1, i), axis=1)
-    return after - i, i - before
 
 
 # -- floor -------------------------------------------------------------------
@@ -261,7 +231,7 @@ def designed_distance(curve: Curve, G: Divisor) -> BoundResult:
 def af_bound(curve: Curve, G: Divisor, one_point: bool = False) -> BoundResult:
     """Best bound from decompositions G = A + B with a slack divisor Z."""
     _require_two_point(G, one_point)
-    zeta, A, Z = af_search(curve, G, one_point)
+    zeta, A, Z = af_search(curve, G, _support(G) if one_point else None)
     designed = _designed_value(curve, G)
     if zeta == 0:
         witness = {"A": G, "B": Divisor(0, 0), "Z": Divisor(0, 0)}
@@ -280,23 +250,18 @@ def kp_bound(
     _require_two_point(G, one_point)
     if point not in (P_INF, P_ORIGIN):
         raise ValueError(f"point must be {P_INF!r} or {P_ORIGIN!r}")
-    if one_point and G.degree != 0:
-        support = P_INF if G.origin == 0 else P_ORIGIN
-        if point != support:
-            raise ValueError("one_point kp needs the gap point to carry G")
-    best = kp_search(curve, G, point, one_point)
-    if best is None:
+    if one_point and G.degree != 0 and point != _support(G):
+        raise ValueError("one_point kp needs the gap point to carry G")
+    # a run of t + 1 gaps is the af witness A = F + (alpha + t)*point, Z = (t + 1)*point
+    zeta, A, _ = af_search(curve, G, point, 1 if one_point else curve.shift_order)
+    if zeta == 0:
         return None
-    run, cls, e1 = best
-    if point == P_INF:
-        F = Divisor(0, cls)
-    else:
-        F = Divisor((-cls) % curve.shift_order, 0)
-    alpha = e1 - F.degree
+    F = Divisor(0, A.origin) if point == P_INF else Divisor(A.inf, 0)  # A less its point part
     designed = _designed_value(curve, G)
-    witness = {"point": point, "F": F, "alpha": alpha, "t": run - 1}
+    t = zeta - 1
+    witness = {"point": point, "F": F, "alpha": A.degree - F.degree - t, "t": t}
     name = "kp_Pinf" if point == P_INF else "kp_P0"
-    return BoundResult(name, designed + run, designed, curve.name, G, witness=witness)
+    return BoundResult(name, designed + zeta, designed, curve.name, G, witness=witness)
 
 
 def floor_bound(
@@ -330,7 +295,7 @@ def floor_bound(
 def _candidates(curve: Curve, G: Divisor, one_point: bool = False) -> list[BoundResult | None]:
     """af, kp at each allowed point, the folded floor and designed, in
     best_bound's tie-break order; None where a bound does not apply."""
-    kp_points = [P_INF if G.origin == 0 else P_ORIGIN] if one_point else [P_INF, P_ORIGIN]
+    kp_points = [_support(G)] if one_point else [P_INF, P_ORIGIN]
     return [
         af_bound(curve, G, one_point),
         *(kp_bound(curve, G, p, one_point) for p in kp_points),
@@ -404,7 +369,7 @@ def _table_cell(curve: Curve, method: str, r: int, c: int):
     # a cell on an axis is a one-point code: the other point joins the
     # evaluation divisor and witnesses may not use it
     one_point = (r == 0) != (c == 0)
-    afz = af_search(curve, G, one_point)[0]
+    afz = af_search(curve, G, _support(G) if one_point else None)[0]
     if method == "af":
         return afz if afz >= 1 else None
     # published floor tables rate each cell's own divisor, so no folding here

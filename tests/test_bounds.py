@@ -4,9 +4,9 @@ the dominance and witness-re-verification invariants."""
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
+from _atlas import atlas_cases, atlas_line, atlas_path, atlas_results
 from _reference_tables import SUZUKI8_AF, cells
 from agbounds import bounds
 from agbounds.bounds import (
@@ -302,9 +302,11 @@ def test_af_dominates_on_a_small_sample(sz, h16):
 def _af_by_raw_dims(curve, G, one_point=False):
     """deg(Z) of the best af witness, from a nested loop over raw dim().
 
-    Same search space as af_search: A = (dA - rho)*Pinf + rho*P0 with
+    A wider search space than af_search's Riemann-Roch band, so a band
+    that lost a witness would show here: A = (dA - rho)*Pinf + rho*P0 with
     dA from deg(G) - (2g-2) up and rho in 0..m-1, Z >= 0 with
-    deg(Z) <= zmax and dA <= 2g-2 + deg(Z).  Each inner loop stops at the first failure: as Z grows,
+    deg(Z) <= zmax = max(2g, 4g-2-deg(G)) and dA <= 2g-2 + deg(Z).
+    Each inner loop stops at the first failure: as Z grows,
     L(A - Z) only shrinks and L(B + Z) only grows, so a failed Z fails
     for every larger one too.
     """
@@ -510,44 +512,54 @@ def test_floor_bound_matches_a_search_over_the_raw_walk(name):
             assert verify_witness(curve, got), where
 
 
-def test_gap_runs_match_a_counting_loop():
-    # kp_search's scans against the run counts a plain loop makes
-    rng = random.Random(12)
-    for n in (1, 2, 7, 40):
-        rows = [[True] * n, [False] * n]
-        rows += [[rng.random() < p for _ in range(n)] for p in (0.2, 0.5, 0.8, 0.95)]
-        fwd, bwd = bounds._gap_runs(np.array(rows))
-        for row, f, b in zip(rows, fwd, bwd):
-            ahead, behind = [0] * (n + 1), [0] * (n + 1)
-            for i in reversed(range(n)):
-                ahead[i] = ahead[i + 1] + 1 if row[i] else 0
-            for i in range(n):
-                behind[i + 1] = behind[i] + 1 if row[i] else 0
-            assert f.tolist() == ahead[:n] and b.tolist() == behind[1:], row
-
-
 @pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
 def test_af_feasible_zeta_are_closed_downward(name):
-    # the lemma the bisection in af_search rests on: every zeta from the
-    # bottom of the search up to the optimum has a witness, none above it
+    # the lemma the bisection in af_search rests on, for af and for kp at
+    # both points: every zeta from 1 up to the optimum has a witness, none
+    # above it.  One-point searches pin Z with class 0 alone, as af and kp
+    # on a one-point code do; the lemma holds at either point.
     curve = make_curve(name)
-    g = curve.genus
+    g, m = curve.genus, curve.shift_order
     rng = random.Random(7000 + g)
     lo, hi = -(4 * g + 4), 6 * g
-    cases = [(Divisor(rng.randint(lo, hi), rng.randint(lo, hi)), False) for _ in range(40)]
-    cases += [(H, True) for H in rng.sample(_one_point_divisors(lo, hi), 20)]
-    for G, one_point in cases:
-        zstar = bounds.af_search(curve, G, one_point)[0]
-        zmax = max(2 * g, 4 * g - 2 - G.degree)
+    two_point = [Divisor(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(40)]
+    one_point = rng.sample(_one_point_divisors(lo, hi), 20)
+    searches = [(G, pin, m) for G in two_point for pin in (None, P_INF, P_ORIGIN)]
+    searches += [(G, pin, 1) for G in one_point for pin in (P_INF, P_ORIGIN)]
+    for G, pin, classes in searches:
+        zstar = bounds.af_search(curve, G, pin, classes)[0]
         # the l~ window af_search reads, which covers every probe
-        LT, off = lt_window(curve, G.degree - 2 * g + 2 - zmax, 2 * g - 2 + zmax)
-        bottom = max(1, G.degree - 2 * (2 * g - 2))
-        for zeta in range(bottom, zmax + 1):
-            hit = bounds._af_probe(curve, G, zeta, one_point, LT, off)
-            assert (hit is not None) == (zeta <= zstar), f"zeta {zeta} at {G}"
+        LT, off = lt_window(curve, G.degree + 1 - 2 * g, 2 * g - 1)
+        for zeta in range(1, 4 * g - 1 - G.degree):
+            hit = bounds._af_probe(curve, G, zeta, pin, classes, LT, off)
+            where = f"zeta {zeta} at {G}, pin {pin}, {classes} classes"
+            assert (hit is not None) == (zeta <= zstar), where
             if hit is not None:
                 A, Z = hit
                 B = G - A
-                assert Z.degree == zeta and Z.inf >= 0 and Z.origin >= 0
-                assert dim(curve, A) == dim(curve, A - Z)
-                assert dim(curve, B) == dim(curve, B + Z)
+                assert Z.degree == zeta and Z.inf >= 0 and Z.origin >= 0, where
+                if pin == P_INF:  # Z = zeta*Pinf, A = c*P0 + e*Pinf
+                    assert Z.origin == 0 and 0 <= A.origin < classes, where
+                elif pin == P_ORIGIN:  # Z = zeta*P0, A = ((-c) mod m)*Pinf + e*P0
+                    assert Z.inf == 0 and 0 <= A.inf < m and (-A.inf) % m < classes, where
+                assert dim(curve, A) == dim(curve, A - Z), where
+                assert dim(curve, B) == dim(curve, B + Z), where
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_class_atlas(name):
+    # every bound on every class of degree -1..max(6g-4, 4g) and on both
+    # one-point axes, line for line as the golden records it; each witness
+    # re-checked in raw dim(), and af at least kp and the floor everywhere
+    curve = make_curve(name)
+    cases = atlas_cases(curve)
+    want = atlas_path(name).read_text().splitlines()
+    assert len(want) == len(cases)
+    for (G, one_point), line in zip(cases, want):
+        results = atlas_results(curve, G, one_point)
+        assert atlas_line(G, one_point, results) == line
+        af = results["af"]
+        for res in filter(None, results.values()):
+            where = f"{res.method} at {G} (one_point={one_point})"
+            assert verify_witness(curve, res), where
+            assert res.value <= af.value, where

@@ -174,6 +174,33 @@ def test_floor_and_bound_huge_coefficient_is_bounded(name, argv, want):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
+_AF_MINUS_3000 = json.dumps({
+    "curve": "hermitian4", "divisor": "-3000*Pinf", "method": "af", "value": 0,
+    "designed": -3000, "improvement": 3000, "representative_shift": 0,
+    "witness": {"A": "1*P0 - 1*Pinf", "B": "-1*P0 - 2999*Pinf", "Z": "3000*Pinf"},
+}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "method, want",
+    [
+        ("best", _AF_MINUS_3000),
+        ("af", _AF_MINUS_3000),
+        ("kp", json.dumps({
+            "curve": "hermitian4", "divisor": "-3000*Pinf", "method": "kp_Pinf", "value": 0,
+            "designed": -3000, "improvement": 3000, "representative_shift": 0,
+            "witness": {"point": "Pinf", "F": "1*P0", "alpha": -3000, "t": 2999},
+        }) + "\n"),
+    ],
+    ids=["best", "af", "kp"],
+)
+def test_bound_negative_degree_is_bounded(method, want):
+    # the af and kp search keeps deg A in its Riemann-Roch band, so a
+    # 3000-gap witness stays within the cap
+    proc = run_capped("hermitian4", "bound", "--all", "--method", method, "--", "-3000*Pinf")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
 def test_floor_command(capsys):
     rc, out, _ = run(capsys, "--curve", "suzuki8", "floor", "16*P0 + 1*Pinf")
     assert rc == 0 and out.strip() == "16*P0"

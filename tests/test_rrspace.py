@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from agbounds.codes import cl_code, evaluation_points
+from agbounds.codes import cl_code, dimension, evaluation_points
 from agbounds.curve import make_curve
 from agbounds.field import _row_reduce, rank_of
 from agbounds.rrspace import (
@@ -20,6 +20,7 @@ from agbounds.rrspace import (
     floor_divisor,
     function_basis,
     is_gap,
+    lt_at,
     lt_window,
     semigroup,
     shift_divisor,
@@ -123,6 +124,55 @@ def test_lt_window_is_raw_dim(curve):
         raw = [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(lo, hi + 1)]
         assert LT.dtype == np.int64
         assert np.array_equal(LT[lo - off : hi - off + 1], raw)
+
+
+def hermitian_count(q, a, b):
+    """l(a*Pinf + b*P0) on y^q + y = x^(q+1), with no linear algebra.
+
+    x^i*y^j has poles only at Pinf and P0: its pole order at Pinf is
+    iq + j(q+1), and its order at P0 is i + j(q+1), where x is a
+    uniformizer and y vanishes to order q+1.  With 0 <= i <= q the pole orders at Pinf are distinct mod
+    q+1, so these functions span every L(a*Pinf + b*P0), and l counts the
+    (i, j) with iq + j(q+1) <= a and i + j(q+1) >= -b.
+    """
+    count = 0
+    for i in range(q + 1):
+        j_hi = (a - i * q) // (q + 1)
+        j_lo = -((b + i) // (q + 1))  # ceil((-b - i) / (q+1))
+        count += max(0, j_hi - j_lo + 1)
+    return count
+
+
+@pytest.mark.parametrize("name, q", [("hermitian4", 2), ("hermitian9", 3), ("hermitian16", 4)])
+def test_hermitian_dims_match_a_monomial_count(name, q):
+    curve = make_curve(name)
+    g, m = curve.genus, curve.shift_order
+    # the whole stored l~ window
+    lo, hi = 2 - 6 * g, 6 * g - 4
+    LT, off = lt_window(curve, lo, hi)
+    for d in range(lo, hi + 1):
+        assert [hermitian_count(q, d - r, r) for r in range(m)] == LT[d - off].tolist(), d
+    # lt_at at +-1e25, in Python ints
+    for d in (10**25 + 3, -(10**25) + 3):
+        for r in range(m):
+            assert lt_at(curve, d, r) == hermitian_count(q, d - r, r), (d, r)
+    # raw dim() on a window of both coefficients
+    for a in range(-2 * m, 2 * g + 2 * m):
+        for b in range(-2 * m, 2 * g + 2 * m):
+            assert dim(curve, Divisor(a, b)) == hermitian_count(q, a, b), (a, b)
+    # code dimensions l(G) - l(G - D), D ~ q^3*Pinf - P0 (q^3*Pinf one-point),
+    # as x^(q^2) - x vanishes once at every affine point
+    n_all = q**3
+    rng = random.Random(500 + q)
+    for _ in range(60):
+        d = rng.randint(-3, n_all + 2 * g + 3)
+        b = rng.randint(-m, n_all)
+        for G, one_point in ((Divisor(d - b, b), False), (Divisor(d, 0), True)):
+            D_origin = 0 if one_point else 1
+            want = hermitian_count(q, G.inf, G.origin) - hermitian_count(
+                q, G.inf - n_all, G.origin + D_origin
+            )
+            assert dimension(curve, G, one_point) == want, (G, one_point)
 
 
 def test_registry_grows_geometrically():
