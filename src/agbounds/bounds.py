@@ -14,17 +14,19 @@ A = F + (alpha + t)*P, Z = (t + 1)*P, since l grows by at most one per
 step.  So one search serves both: af_search, with Z free or pinned at P.
 
 Because l(a*Pinf + b*P0) only depends on (a + b, b mod m) - multiplying
-by the shift function moves poles between the two points - that search
-runs over reduced coordinates (degree, residue class), and Riemann-Roch
-bounds it to a band.  A divisor of degree >= 2g-1 is non-special, so one
-more point adds one to l, and every witness with zeta = deg(Z) >= 1 has
-
-* deg(A - Z) <= 2g-2 and deg(B) <= 2g-2, or the equalities would fail;
-* deg(A) <= 2g-1 and deg(B + Z) <= 2g-1, as l(A - P) = l(A) and
-  l(B + Z - P) = l(B + Z) for any P in the support of Z.
-
-So deg(A) lies in [deg(G) + 1 - 2g + zeta, 2g - 1], zeta <= 4g-2-deg(G),
-and the search reads l~ only on degrees deg(G) + 1 - 2g .. 2g - 1.
+by the shift function moves poles between the two points - af sees only
+classes: deg A, rho = A.origin mod m, B = G - A and s = Z.origin mod m.
+For fixed (A, s) the witnesses are zeta in [s, min(Z1, Z2)]: closed
+downward, as for a point P of Z, (A, Z - P) is one too,
+  L(A - Z) <= L(A - Z + P) <= L(A)  and  L(B) <= L(B + Z - P) <= L(B + Z)
+with equal outer spaces, and Z.origin = s may stay while Pinf goes (a
+hit at Z.origin >= m repeats one at s).  Z1 and Z2 (P1, P2 for
+Z = zeta*P0) are the run ends of the two equalities; they depend on the
+class of A or B and on s alone, so rrspace reads them off l~ once per
+curve (slack), and af_search is one max-min over them.  Riemann-Roch
+bounds it: past degree 2g-2 a point adds one to l, so l(A - P) = l(A)
+and l(B + P) = l(B) force deg A <= 2g-1 and deg B <= 2g-2, and deg A
+runs over [deg G + 2 - 2g, 2g - 1], empty once deg G > 4g-3.
 
 The floor search reads the same table, four entries per candidate
 split (_is_floor), so a huge coefficient costs no more than a small one.
@@ -47,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .curve import Curve, make_curve
-from .rrspace import Divisor, P_INF, P_ORIGIN, dim, lt_at, lt_window, shift_divisor
+from .rrspace import Divisor, P_INF, P_ORIGIN, dim, lt_at, shift_divisor, slack
 
 __all__ = [
     "BoundResult",
@@ -108,65 +110,34 @@ def af_search(
     pin=None searches every two-point A and Z.  pin=P puts Z at P and
     A = F + e*P, F in the first `classes` kp classes: F = c*P0 at Pinf,
     ((-c) mod m)*Pinf at P0.  Class 0 is F = 0, all that a one-point code
-    (A and Z at the support of G) uses.
+    (A and Z at the support of G) uses.  The first maximum wins, in
+    (Z.origin, deg A, A.origin) order, or (class, deg A) with Z pinned.
     """
-    g = curve.genus
-    dG = G.degree
-    zmax = 4 * g - 2 - dG  # above it the band of deg(A) is empty
-    if zmax < 1:
+    g, m, dG = curve.genus, curve.shift_order, G.degree
+    if dG > 4 * g - 3:  # the band of deg(A) is empty
         return 0, None, None
-    LT, off = lt_window(curve, dG + 1 - 2 * g, 2 * g - 1)
-    # The feasible zeta are closed downward, so double from 1, then bisect:
-    # the optimum is usually a few units, far below zmax.  Take a witness
-    # (A, Z) at zeta and a point P in the support of Z.  Then (A - P, Z - P)
-    # is one at zeta - 1:
-    #   L(A - Z) <= L(A - P) <= L(A)  and  L(B) <= L(B + P) <= L(B + Z),
-    # and the outer spaces are equal, so the inner one is too; deg(A - P)
-    # stays in the band at zeta - 1.  Z - P stays at P when Z is pinned
-    # there, and A - P = F + (e - 1)*P keeps the class of F.
-    ok, bad = 0, zmax + 1
-    best = (0, None, None)
-    while bad - ok > 1:
-        zeta = min(2 * ok + 1, (ok + bad) // 2)
-        hit = _af_probe(curve, G, zeta, pin, classes, LT, off)
-        if hit is None:
-            bad = zeta
-        else:
-            ok, best = zeta, (zeta, *hit)
-    return best
-
-
-def _af_probe(
-    curve: Curve, G: Divisor, zeta: int, pin: str | None, classes: int,
-    LT: np.ndarray, off: int,
-) -> tuple[Divisor, Divisor] | None:
-    """First af witness (A, Z) with deg(Z) = zeta and deg(A) in the band,
-    or None.
-
-    Every candidate is tested in one comparison over af_search's l~ window
-    LT, off.  Two-point, the first is the one with the least Z.origin, then
-    the least deg(A), then the least A.origin; with Z pinned, it is kp's
-    order: the least class, then the least deg(A).
-    """
-    g, m = curve.genus, curve.shift_order
-    dG = G.degree
-    gamma2 = G.origin % m
-    # A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
-    dA = np.arange(dG + 1 - 2 * g + zeta, 2 * g)
-    if pin is None:  # axes (z2, dA, rho)
-        z2, dA, rho = np.arange(zeta + 1)[:, None, None], dA[None, :, None], np.arange(m)
-    else:  # axes (class, dA)
-        c = np.arange(classes)[:, None]
-        z2, rho = (0, c) if pin == P_INF else (zeta, dA - (-c) % m)
-    feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
-        LT[dG - dA - off, (gamma2 - rho) % m]
-        == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
-    )
-    first = int(feasible.argmax())
-    if not feasible.flat[first]:
-        return None
-    d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
-    return Divisor(d - r, r), Divisor(zeta - k, k)
+    lo, hi = dG + 2 - 2 * g, 2 * g - 1  # deg A; deg B = dG - deg A, read backwards
+    if pin == P_ORIGIN:  # axes (c, deg A): A = a*Pinf + e*P0 with a = (-c) mod m, Z = zeta*P0
+        c = np.arange(classes)
+        z2 = slack(curve, "P2", dG - hi, dG - lo)[(G.inf + c) % m, ::-1]
+        zeta = np.minimum(slack(curve, "P1", lo, hi)[-c % m], z2)
+    else:  # axes (s, deg A, rho): A = (deg A - rho)*Pinf + rho*P0, Z.origin = s
+        z2 = slack(curve, "Z2", dG - hi, dG - lo)[:, ::-1, (G.origin - np.arange(m)) % m]
+        zeta = np.minimum(slack(curve, "Z1", lo, hi), z2)
+        if pin == P_INF:  # axes (c, deg A): s = 0 and A = c*P0 + e*Pinf, Z = zeta*Pinf
+            zeta = zeta[0, :, :classes].T
+    first = int(zeta.argmax())
+    if (best := int(zeta.flat[first])) == 0:
+        return 0, None, None
+    if pin is None:
+        rest, r = divmod(first, m)
+        k, j = divmod(rest, hi + 1 - lo)
+        return best, Divisor(lo + j - r, r), Divisor(best - k, k)
+    c, j = divmod(first, hi + 1 - lo)
+    if pin == P_INF:
+        return best, Divisor(lo + j - c, c), Divisor(best, 0)
+    a = -c % m
+    return best, Divisor(a, lo + j - a), Divisor(0, best)
 
 
 # -- floor -------------------------------------------------------------------
@@ -381,17 +352,13 @@ def _table_cell(curve: Curve, method: str, r: int, c: int):
 
 
 def _table_chunk(args):
-    curve_name, method, rs, clo, chi = args
+    curve_name, method, rs, cs = args
     curve = make_curve(curve_name)
-    return [(r, [_table_cell(curve, method, r, c) for c in range(clo, chi + 1)]) for r in rs]
+    return [(r, [_table_cell(curve, method, r, c) for c in cs]) for r in rs]
 
 
 def improvement_table(
-    curve: Curve,
-    method: str,
-    rows: tuple[int, int],
-    cols: tuple[int, int],
-    threads: int = 1,
+    curve: Curve, method: str, rows: tuple[int, int], cols: tuple[int, int], threads: int = 1
 ) -> dict:
     """Improvements over the designed distance for G = r*P0 + c*Pinf.
 
@@ -399,31 +366,20 @@ def improvement_table(
     holds deg(Z) of the best asymmetric-floor witness, blank when 0.
     For method="floor" a cell holds the floor improvement of the cell's
     own divisor (no representative folding), with "*" marking cells
-    where only the af bound improves.
+    where only the af bound improves.  With threads > 1 the rows go to
+    min(threads, rows) worker processes.
     """
     if method not in ("af", "floor"):
         raise ValueError("table method must be 'af' or 'floor'")
-    rlo, rhi = rows
-    clo, chi = cols
-    rs = list(range(rlo, rhi + 1))
-    cells: dict[tuple[int, int], object] = {}
-    if threads <= 1:
-        for r in rs:
-            for c in range(clo, chi + 1):
-                cells[(r, c)] = _table_cell(curve, method, r, c)
+    rs, cs = list(range(rows[0], rows[1] + 1)), list(range(cols[0], cols[1] + 1))
+    workers = min(threads, len(rs))
+    if workers <= 1:
+        parts = [[(r, [_table_cell(curve, method, r, c) for c in cs]) for r in rs]]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only tables pay its import
 
-        chunks = [(curve.name, method, rs[i::threads], clo, chi) for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_table_chunk, chunks):
-                for r, row_cells in part:
-                    for c, val in zip(range(clo, chi + 1), row_cells):
-                        cells[(r, c)] = val
-    return {
-        "curve": curve.name,
-        "method": method,
-        "rows": rs,
-        "cols": list(range(clo, chi + 1)),
-        "cells": cells,
-    }
+        chunks = [(curve.name, method, rs[i::workers], cs) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_table_chunk, chunks))
+    cells = {(r, c): val for part in parts for r, row in part for c, val in zip(cs, row)}
+    return {"curve": curve.name, "method": method, "rows": rs, "cols": cs, "cells": cells}

@@ -49,6 +49,7 @@ from .rrspace import (
 __all__ = ["main", "parse_divisor", "render_divisor", "render_table"]
 
 CURVES = ("hermitian4", "hermitian9", "hermitian16", "suzuki8")
+_THREADS_CAP = 64  # a process pool forks all of its workers at once
 
 # one divisor term: optional +/- connector, an integer, optionally *P0 / *Pinf
 _TERM = re.compile(r"\s*(?P<con>[+-])?\s*(?P<num>\d+)\s*(?:\*\s*(?P<place>P0|Pinf))?")
@@ -306,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--curve", required=True, choices=CURVES)
     parser.add_argument(
         "--threads",
-        type=_bounded_int(1),
+        type=_bounded_int(1, _THREADS_CAP),
         default=1,
-        help="worker processes for table cells",
+        help=f"worker processes for table cells, at most {_THREADS_CAP}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("divisor", help=DIVISOR_HELP)
 
     p = sub.add_parser("semigroup", help="Weierstrass non-gaps at Pinf")
-    p.add_argument("--limit", type=int, default=60)
+    p.add_argument("--limit", type=_bounded_int(0), default=60)
     p.add_argument("--gaps", action="store_true", help="print the gaps instead")
 
     p = sub.add_parser("bound", help="distance bound for C_Omega(D, G)")
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", required=True, help="Pinf coefficients, lo:hi")
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     # also accepted after the subcommand; SUPPRESS keeps the global value
-    p.add_argument("--threads", type=_bounded_int(1), default=argparse.SUPPRESS)
+    p.add_argument("--threads", type=_bounded_int(1, _THREADS_CAP), default=argparse.SUPPRESS)
 
     p = sub.add_parser("code", help="generator matrix as CSV")
     p.add_argument("divisor", help=DIVISOR_HELP)

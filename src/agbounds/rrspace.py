@@ -23,13 +23,13 @@ against, not inputs.
 
 Every bound search, `ell`, `floor`, is_gap() and semigroup() read one
 table per curve instead, since l(a*Pinf + b*P0) = l~(a + b, b mod m):
-dim() fills degrees 0..2g-1 once, and lt_window() pads it by Riemann-Roch
-to degrees -6g+2..6g-4 (all that af and kp read for deg G >= 0).  lt_at()
-reads one entry in Python ints, so a coefficient past 2^63 costs no
-array; the floor search and floor_divisor() read it.  Otherwise dim()
-only fills the table, re-checks witnesses and sizes codes, the last
-through the two-point equivalent of the evaluation divisor
-(codes.dimension).  Nothing in the package builds a constrained
+dim() fills degrees 0..2g-1 once, and the af slack tables (slack()) are
+read off it in the same fill; lt_window() pads other ranges by
+Riemann-Roch.  lt_at() reads one entry in Python ints, so a coefficient
+past 2^63 costs no array; the floor search and floor_divisor() read it.
+Otherwise dim() only fills the table, re-checks witnesses and sizes
+codes, the last through the two-point equivalent of the evaluation
+divisor (codes.dimension).  Nothing in the package builds a constrained
 divisor; they stay as the independent oracle for that equivalence.
 
 function_basis() returns a basis of L(D) as a coefficient matrix C over
@@ -118,7 +118,8 @@ class _Context:
         self.COEFF = np.zeros((0, 0), dtype=np.uint8)
         self.value_cols: dict[tuple[int, int], np.ndarray] = {}
         self.dim_memo: dict[tuple, int] = {}
-        self.lt: tuple[np.ndarray, int] | None = None  # (l~ table, its lowest degree)
+        self.lt: np.ndarray | None = None  # l~ on degrees 0..2g-1
+        self.slack: dict[str, np.ndarray] = {}
 
     def ensure(self, maxpole: int, prec: int) -> None:
         need_W = max(prec + 1, 8)
@@ -205,17 +206,15 @@ def dim(curve: Curve, divisor: Divisor) -> int:
 
 def lt_window(curve: Curve, lo: int, hi: int) -> tuple[np.ndarray, int]:
     """l~ for degrees lo..hi as (array, offset), array[d - offset, r] = l~(d, r)."""
-    ctx = _context(curve)
-    g, m = curve.genus, curve.shift_order
-    if ctx.lt is None:  # dim() fills degrees 0..2g-1, padded once to the stored window
+    ctx, g, m = _context(curve), curve.genus, curve.shift_order
+    if ctx.lt is None:  # dim() fills degrees 0..2g-1 once; the slack tables are read off it
         fill = [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(2 * g)]
-        ctx.lt = np.array(fill, dtype=np.int64), 0
-        ctx.lt = lt_window(curve, 2 - 6 * g, 6 * g - 4)
-    LT, off = ctx.lt
-    if off <= lo and hi < off + len(LT):
-        return ctx.lt
+        ctx.lt = np.array(fill, dtype=np.int64)
+        ctx.slack = _slack_tables(ctx.lt, m)
+    if 0 <= lo and hi < 2 * g:
+        return ctx.lt, 0
     d = np.arange(lo, hi + 1, dtype=np.int64)[:, None]  # Riemann-Roch outside 0..2g-1
-    inside = LT[np.clip(d[:, 0], 0, 2 * g - 1) - off]
+    inside = ctx.lt[np.clip(d[:, 0], 0, 2 * g - 1)]
     return np.where((d >= 0) & (d < 2 * g), inside, np.maximum(d + 1 - g, 0)), lo
 
 
@@ -226,6 +225,50 @@ def lt_at(curve: Curve, d: int, r: int) -> int:
         return max(d + 1 - g, 0)
     LT, off = lt_window(curve, 0, 2 * g - 1)
     return int(LT[d - off, r % curve.shift_order])
+
+
+def _slack_tables(LT: np.ndarray, m: int) -> dict[str, np.ndarray]:
+    """bounds.py's run ends on degrees -m..2g (index d + m of axis 1): Z1[s, d, r]
+    is the largest zeta >= max(s, 1) with l(A) = l(A - Z), deg A = d, A.origin = r
+    and Z.origin = s mod m; Z2[s, d, r] the same for l(B) = l(B + Z); P1[a, d],
+    P2[a, d] for Z = zeta*P0 and Pinf coefficient a mod m.  0: none, 2^62: no end."""
+    g = len(LT) // 2
+    d, cls = np.arange(-m, 2 * g + 1), np.arange(m)
+    ext = np.maximum(d[:, None] + 1 - g, 0).repeat(m, 1)  # Riemann-Roch outside 0..2g-1
+    ext[m : m + 2 * g] = LT
+    diag = ext[d[:, None] + m, (d[:, None] - cls) % m]  # [d, a]: l~ of a*Pinf + b*P0 as b grows
+    v = np.arange(g + 2)
+
+    def ends(cols):  # the first and the last degree of each value v, per column
+        first, after = ([np.searchsorted(c, v, side) for c in cols.T] for side in ("left", "right"))
+        return np.array(first) - m, np.array(after) - m - 1
+
+    (first, last), (dfirst, dlast), s, d = ends(ext), ends(diag), cls[:, None, None], d[:, None]
+    z1 = np.where(ext == 0, 2**62, d - first[(cls - s) % m, ext])
+    z2, low = last[(cls + s) % m, ext] - d, np.maximum(s, 1)  # Z.origin = s needs zeta >= s
+    return {
+        "Z1": np.where(z1 >= low, z1, 0),
+        "Z2": np.where(z2 >= low, z2, 0),
+        "P1": np.where(diag == 0, 2**62, d - dfirst[cls, diag]).T,
+        "P2": (dlast[cls, diag] - d).T,
+    }
+
+
+def slack(curve: Curve, name: str, lo: int, hi: int) -> np.ndarray:
+    """Slack table `name` at degrees lo..hi (axis 1); closed forms outside
+    -m..2g: from 2g on no zeta keeps l; below 0 l~ = 0, so Z1, P1 have no
+    end and Z2, P2 end at the last zero of l~ in their column, at least -1:
+    below -m every entry is a witness and one longer per degree."""
+    g, m = curve.genus, curve.shift_order
+    lt_window(curve, 0, 0)  # the l~ fill builds the tables
+    T = _context(curve).slack[name]
+    if -m <= lo and hi <= 2 * g:
+        return T[:, lo + m : hi + m + 1]
+    d = np.arange(lo, hi + 1)
+    got = T.take(np.clip(d, -m, 2 * g) + m, 1)
+    if name[1] == "2":
+        got += np.maximum(-m - d, 0).reshape(-1, *(1,) * (got.ndim - 2))
+    return got
 
 
 def function_basis(curve: Curve, divisor: Divisor) -> tuple[np.ndarray, int]:

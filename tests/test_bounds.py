@@ -4,6 +4,7 @@ the dominance and witness-re-verification invariants."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from _atlas import atlas_cases, atlas_line, atlas_path, atlas_results
@@ -26,8 +27,8 @@ from agbounds.rrspace import (
     Divisor,
     dim,
     floor_divisor,
-    lt_window,
     shift_divisor,
+    slack,
 )
 
 
@@ -512,12 +513,44 @@ def test_floor_bound_matches_a_search_over_the_raw_walk(name):
             assert verify_witness(curve, got), where
 
 
+def _af_probe_by_raw_dims(curve, G, zeta, pin, classes, LT, off):
+    """The first af witness (A, Z) with deg(Z) = zeta and deg(A) in the band
+    [deg(G) + 1 - 2g + zeta, 2g - 1], or None.
+
+    LT[d - off, r] is raw dim() of one divisor of degree d and origin r,
+    on the band's degrees deg(G) + 1 - 2g .. 2g - 1.  Two-point, every Z of
+    degree zeta is tried and the first hit has the least Z.origin, then the
+    least deg(A), then the least A.origin; with Z pinned, the least class,
+    then the least deg(A).
+    """
+    g, m = curve.genus, curve.shift_order
+    dG, gamma2 = G.degree, G.origin % m
+    # A = (dA - rho)*Pinf + rho*P0, Z = (zeta - z2)*Pinf + z2*P0
+    dA = np.arange(dG + 1 - 2 * g + zeta, 2 * g)
+    if pin is None:  # axes (z2, dA, rho)
+        z2, dA, rho = np.arange(zeta + 1)[:, None, None], dA[None, :, None], np.arange(m)
+    else:  # axes (class, dA)
+        c = np.arange(classes)[:, None]
+        z2, rho = (0, c) if pin == P_INF else (zeta, dA - (-c) % m)
+    feasible = (LT[dA - off, rho % m] == LT[dA - zeta - off, (rho - z2) % m]) & (
+        LT[dG - dA - off, (gamma2 - rho) % m]
+        == LT[dG - dA + zeta - off, (gamma2 - rho + z2) % m]
+    )
+    first = int(feasible.argmax())
+    if not feasible.flat[first]:
+        return None
+    d, r, k = (int(np.broadcast_to(x, feasible.shape).flat[first]) for x in (dA, rho, z2))
+    return Divisor(d - r, r), Divisor(zeta - k, k)
+
+
 @pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
 def test_af_feasible_zeta_are_closed_downward(name):
-    # the lemma the bisection in af_search rests on, for af and for kp at
-    # both points: every zeta from 1 up to the optimum has a witness, none
-    # above it.  One-point searches pin Z with class 0 alone, as af and kp
-    # on a one-point code do; the lemma holds at either point.
+    # the lemma behind the slack tables, for af and for kp at both points:
+    # every zeta from 1 up to af_search's optimum has a witness, none above
+    # it, which is why one max-min over run ends finds the optimum.  The
+    # probe tries every Z of each degree on raw dim() values.  One-point
+    # searches pin Z with class 0 alone, as af and kp on a one-point code
+    # do; the lemma holds at either point.
     curve = make_curve(name)
     g, m = curve.genus, curve.shift_order
     rng = random.Random(7000 + g)
@@ -528,10 +561,13 @@ def test_af_feasible_zeta_are_closed_downward(name):
     searches += [(G, pin, 1) for G in one_point for pin in (P_INF, P_ORIGIN)]
     for G, pin, classes in searches:
         zstar = bounds.af_search(curve, G, pin, classes)[0]
-        # the l~ window af_search reads, which covers every probe
-        LT, off = lt_window(curve, G.degree + 1 - 2 * g, 2 * g - 1)
+        off = G.degree + 1 - 2 * g
+        LT = np.array(
+            [[dim(curve, Divisor(d - r, r)) for r in range(m)] for d in range(off, 2 * g)],
+            dtype=np.int64,
+        ).reshape(-1, m)
         for zeta in range(1, 4 * g - 1 - G.degree):
-            hit = bounds._af_probe(curve, G, zeta, pin, classes, LT, off)
+            hit = _af_probe_by_raw_dims(curve, G, zeta, pin, classes, LT, off)
             where = f"zeta {zeta} at {G}, pin {pin}, {classes} classes"
             assert (hit is not None) == (zeta <= zstar), where
             if hit is not None:
@@ -544,6 +580,50 @@ def test_af_feasible_zeta_are_closed_downward(name):
                     assert Z.inf == 0 and 0 <= A.inf < m and (-A.inf) % m < classes, where
                 assert dim(curve, A) == dim(curve, A - Z), where
                 assert dim(curve, B) == dim(curve, B + Z), where
+
+
+def _run_end(curve, D, moved, first, cutoff):
+    """The largest zeta >= first with dim(moved(zeta)) = dim(D), walking raw
+    dim() up from `first`: 0 when `first` already fails, 2**62 when the run
+    is still going at `cutoff`."""
+    ell, zeta = dim(curve, D), first
+    while dim(curve, moved(zeta)) == ell:
+        zeta += 1
+        if zeta > cutoff:
+            return 2**62
+    return zeta - 1 if zeta > first else 0
+
+
+@pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])
+def test_slack_tables_match_raw_dim_walks(name):
+    # every entry of the stored degrees -m..2g, and three degrees past each
+    # end where slack() applies its closed forms, is the run end found by
+    # walking raw dim() from one divisor of the class: Z = (zeta - s)*Pinf +
+    # s*P0 for Z1 (A - Z) and Z2 (B + Z), Z = zeta*P0 for P1 and P2
+    curve = make_curve(name)
+    g, m = curve.genus, curve.shift_order
+    lo, hi = -m - 3, 2 * g + 3
+    cutoff = hi - lo + 2 * m  # past every finite run end on these degrees
+    tables = {t: slack(curve, t, lo, hi) for t in ("Z1", "Z2", "P1", "P2")}
+    for t, table in tables.items():  # the stored range is a view of the same values
+        assert np.array_equal(table[:, 3:-3], slack(curve, t, -m, 2 * g)), t
+    for i, d in enumerate(range(lo, hi + 1)):
+        for r in range(m):
+            D = Divisor(d - r, r)
+            for s in range(m):
+                got = tables["Z1"][s, i, r], tables["Z2"][s, i, r]
+                want = (
+                    _run_end(curve, D, lambda z: D - Divisor(z - s, s), max(s, 1), cutoff),
+                    _run_end(curve, D, lambda z: D + Divisor(z - s, s), max(s, 1), cutoff),
+                )
+                assert got == want, f"Z1, Z2 at degree {d}, origin {r}, s = {s}"
+            D = Divisor(r, d - r)  # Pinf coefficient a = r
+            got = tables["P1"][r, i], tables["P2"][r, i]
+            want = (
+                _run_end(curve, D, lambda z: D - Divisor(0, z), 1, cutoff),
+                _run_end(curve, D, lambda z: D + Divisor(0, z), 1, cutoff),
+            )
+            assert got == want, f"P1, P2 at degree {d}, Pinf coefficient {r}"
 
 
 @pytest.mark.parametrize("name", ["hermitian4", "hermitian9", "hermitian16", "suzuki8"])

@@ -357,6 +357,18 @@ def test_threads_below_one_exit_2(capsys):
     assert rc == 2 and "expected an integer" in err
 
 
+def test_threads_above_the_cap_exit_2(capsys):
+    # argparse rejects the count before any pool exists; one row would
+    # keep the table serial even if it did not
+    table = ["table", "--rows", "6:6", "--cols", "0:4"]
+    for argv in (
+        ["--threads", "65", "--curve", "hermitian16", *table],
+        ["--curve", "hermitian16", *table, "--threads", "100000"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "--threads: must be at most 64" in err
+
+
 def test_table_bad_range_exits_2(capsys):
     rc, _, err = run(
         capsys, "--curve", "hermitian16", "table",
@@ -476,6 +488,12 @@ def test_semigroup_listing_is_capped():
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--limit must be at most 100000 without --gaps" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_semigroup_negative_limit_exits_2(capsys):
+    for gaps in ([], ["--gaps"]):
+        rc, out, err = run(capsys, "--curve", "hermitian4", "semigroup", "--limit", "-5", *gaps)
+        assert rc == 2 and out == "" and "--limit: must be at least 0, got -5" in err
 
 
 def test_seed_is_not_an_option(capsys):
